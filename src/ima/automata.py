@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidArity, RankMismatch
+from .match import find_bijection
 from .perm import Obj, PermSymbol, Sort
 
 ANCHOR = "*"
@@ -106,31 +107,27 @@ def _mat_mul(u: Mat, v: Mat) -> Mat:
     return tuple(out)
 
 
-def alt_product(u: Mat, v: Mat, alternate: bool = True) -> Mat:
-    """Matrix product with the right factor's two rows swapped first.
-
-    ``alternate=False`` gives the plain product; only the law-checker's
-    self-test uses it.
-    """
+def alt_product(u: Mat, v: Mat) -> Mat:
+    """Matrix product with the right factor's two rows swapped first."""
     if len(v) != 2:
         raise ValueError("alternating product needs a two-row right factor")
-    return _mat_mul(u, (v[1], v[0]) if alternate else v)
+    return _mat_mul(u, (v[1], v[0]))
 
 
-def alt_identity(size: int, alternate: bool = True) -> Mat:
+def alt_identity(size: int) -> Mat:
     i2: Mat = ((Rel.identity(size), Rel.empty(size)), (Rel.empty(size), Rel.identity(size)))
-    return alt_product(i2, i2, alternate)
+    return alt_product(i2, i2)
 
 
-def alt_star(u: Mat, alternate: bool = True) -> Mat:
+def alt_star(u: Mat) -> Mat:
     """Least fixpoint of ``P = P0 union (P alt_product u)`` starting from the
     alternate identity; terminates on the finite lattice of relations."""
     size = u[0][0].size
-    p = alt_identity(size, alternate)
+    p = alt_identity(size)
     while True:
         nxt = tuple(
             tuple(a.union(b) for a, b in zip(row_p, row_q))
-            for row_p, row_q in zip(p, alt_product(p, u, alternate))
+            for row_p, row_q in zip(p, alt_product(p, u))
         )
         if nxt == p:
             return p
@@ -214,7 +211,6 @@ def trace_automaton(
     t: TuringAutomaton,
     w: Obj,
     order: Sequence[int] | None = None,
-    alternate: bool = True,
 ) -> TuringAutomaton:
     """Eliminate the interface pairs (i, |w|+i) by the Kleene construction.
 
@@ -251,17 +247,17 @@ def trace_automaton(
             (table[(z1, z1)], table[(z1, z2)]),
             (table[(z2, z1)], table[(z2, z2)]),
         )
-        star = alt_star(mid, alternate)
+        star = alt_star(mid)
         keys = [k for k in keys if k not in (z1, z2)]
         row_through = {
-            x: alt_product(((table[(x, z1)], table[(x, z2)]),), star, alternate)
+            x: alt_product(((table[(x, z1)], table[(x, z2)]),), star)
             for x in keys
         }
         new_table = {}
         for x in keys:
             for y in keys:
                 col: Mat = ((table[(z1, y)],), (table[(z2, y)],))
-                gained = alt_product(row_through[x], col, alternate)[0][0]
+                gained = alt_product(row_through[x], col)[0][0]
                 new_table[(x, y)] = table[(x, y)].union(gained)
         table = new_table
 
@@ -273,18 +269,6 @@ def trace_automaton(
         for qi, ri in rel.pairs():
             delta.add(((states[qi], rename(x)), (states[ri], rename(y))))
     return TuringAutomaton(t.iface[2 * n :], t.states, frozenset(delta))
-
-
-def compose_automata(t1, t2, a: Obj, b: Obj, c: Obj) -> TuringAutomaton:
-    from .algebra import compose_in
-
-    return compose_in(AUTOMATA_ALGEBRA, t1, t2, a, b, c)
-
-
-def tensor_automata(t1, t2, a: Obj, b: Obj, c: Obj, d: Obj) -> TuringAutomaton:
-    from .algebra import tensor_in
-
-    return tensor_in(AUTOMATA_ALGEBRA, t1, t2, a, b, c, d)
 
 
 def reverse(t: TuringAutomaton) -> TuringAutomaton:
@@ -336,30 +320,6 @@ def atomic_switch(n: int, sort: Sort = Sort("1")) -> TuringAutomaton:
 # -- equality up to a state bijection -----------------------------------------
 
 
-def _signatures(t: TuringAutomaton) -> dict:
-    sig = {q: 0 for q in t.states}
-    for _ in range(len(t.states) + 1):
-        out: dict = {q: [] for q in t.states}
-        inc: dict = {q: [] for q in t.states}
-        for (q, x), (r, y) in t.delta:
-            out[q].append((x, y, sig[r], q == r))
-            inc[r].append((x, y, sig[q], q == r))
-        refined = {
-            q: (
-                sig[q],
-                tuple(sorted(out[q], key=repr)),
-                tuple(sorted(inc[q], key=repr)),
-            )
-            for q in t.states
-        }
-        palette = {v: i for i, v in enumerate(sorted(set(refined.values()), key=repr))}
-        new = {q: palette[refined[q]] for q in t.states}
-        if new == sig:
-            break
-        sig = new
-    return sig
-
-
 def equivalent_automata(t1: TuringAutomaton, t2: TuringAutomaton, witness=None) -> bool:
     """True when some state bijection carries one transition set onto the
     other; ``witness`` short-circuits the search with a candidate mapping."""
@@ -368,73 +328,17 @@ def equivalent_automata(t1: TuringAutomaton, t2: TuringAutomaton, witness=None) 
     if len(t1.delta) != len(t2.delta):
         return False
 
-    def carries(mapping) -> bool:
-        mapped = {
-            ((mapping[q], x), (mapping[r], y)) for (q, x), (r, y) in t1.delta
-        }
-        return mapped == t2.delta
-
     if witness is not None:
         mapping = {q: witness(q) for q in t1.states}
-        if set(mapping.values()) == set(t2.states) and carries(mapping):
+        if set(mapping.values()) == set(t2.states) and t2.delta == {
+            ((mapping[q], x), (mapping[r], y)) for (q, x), (r, y) in t1.delta
+        }:
             return True
 
-    sig1 = _signatures(t1)
-    sig2 = _signatures(t2)
-    classes1: dict = {}
-    classes2: dict = {}
-    for q, s in sig1.items():
-        classes1.setdefault(s, []).append(q)
-    for q, s in sig2.items():
-        classes2.setdefault(s, []).append(q)
-    if set(classes1) != set(classes2):
-        return False
-    if any(len(classes1[s]) != len(classes2[s]) for s in classes1):
-        return False
+    def colored(t):
+        return dict.fromkeys(t.states, 0), [(q, (x, y), r) for (q, x), (r, y) in t.delta]
 
-    out1: dict = {q: {} for q in t1.states}
-    out2: dict = {q: {} for q in t2.states}
-    for (q, x), (r, y) in t1.delta:
-        out1[q].setdefault((x, y), set()).add(r)
-    for (q, x), (r, y) in t2.delta:
-        out2[q].setdefault((x, y), set()).add(r)
-
-    order = sorted(t1.states, key=lambda q: (len(classes1[sig1[q]]), repr(q)))
-    mapping: dict = {}
-    used: set = set()
-
-    def consistent(q, w) -> bool:
-        if set(out1[q]) != set(out2[w]):
-            return False
-        for (x, y), succs in out1[q].items():
-            image = out2[w][(x, y)]
-            if len(succs) != len(image):
-                return False
-            for r in succs:
-                if r in mapping and mapping[r] not in image:
-                    return False
-        for r, v in mapping.items():
-            for (x, y), succs in out1[r].items():
-                if q in succs and w not in out2[v].get((x, y), set()):
-                    return False
-        return True
-
-    def backtrack(k: int) -> bool:
-        if k == len(order):
-            return carries(mapping)
-        q = order[k]
-        for w in classes2[sig1[q]]:
-            if w in used or not consistent(q, w):
-                continue
-            mapping[q] = w
-            used.add(w)
-            if backtrack(k + 1):
-                return True
-            del mapping[q]
-            used.remove(w)
-        return False
-
-    return backtrack(0)
+    return find_bijection(*colored(t1), *colored(t2)) is not None
 
 
 # -- file format ---------------------------------------------------------------
@@ -489,15 +393,7 @@ def format_automaton(t: TuringAutomaton) -> str:
 
 
 class AutomataAlgebra:
-    """The indexed monoidal algebra of Turing automata.
-
-    ``broken_alternation`` disables the row swap in the alternating
-    product; it exists so the law-checking machinery can be shown to catch
-    a wrong trace.
-    """
-
-    def __init__(self, broken_alternation: bool = False):
-        self.broken_alternation = broken_alternation
+    """The indexed monoidal algebra of Turing automata."""
 
     def identity(self, w: Obj):
         return identity_automaton(w)
@@ -506,7 +402,7 @@ class AutomataAlgebra:
         return sum_automata(x, y)
 
     def trace(self, w, x):
-        return trace_automaton(x, w, alternate=not self.broken_alternation)
+        return trace_automaton(x, w)
 
     def reindex(self, x, rho):
         return reindex_automaton(x, rho)

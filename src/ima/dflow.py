@@ -23,7 +23,17 @@ from typing import Mapping, Sequence
 
 from . import graph as gr
 from . import term as tm
-from .automata import ANCHOR, TuringAutomaton, sum_automata
+from .automata import (
+    ANCHOR,
+    TuringAutomaton,
+    atomic_switch,
+    equivalent_automata,
+    identity_automaton,
+    reindex_automaton,
+    reverse,
+    sum_automata,
+    trace_automaton,
+)
 from .errors import IllFormedConfig, InvalidArity, InvalidSpec, MissingSymbol, RankMismatch
 from .graph import DEFAULT_SORT, InterfaceLabel, SigmaGraph, SymbolLabel
 from .perm import Obj, PermSymbol, Sort
@@ -83,16 +93,12 @@ class DFlowAlgebra:
         return DFlowAutomaton(self.data, sort_word, base)
 
     def identity(self, w: Obj) -> DFlowAutomaton:
-        from .automata import identity_automaton
-
         return self._wrap(w + w, identity_automaton(expand_word(w, len(self.data))))
 
     def sum(self, x: DFlowAutomaton, y: DFlowAutomaton) -> DFlowAutomaton:
         return self._wrap(x.sort_word + y.sort_word, sum_automata(x.base, y.base))
 
     def trace(self, w: Obj, x: DFlowAutomaton) -> DFlowAutomaton:
-        from .automata import trace_automaton
-
         n = len(w)
         if x.sort_word[: 2 * n] != w + w:
             raise RankMismatch(f"trace over {w} of sort word {x.sort_word}")
@@ -100,8 +106,6 @@ class DFlowAlgebra:
         return self._wrap(x.sort_word[2 * n :], base)
 
     def reindex(self, x: DFlowAutomaton, rho: PermSymbol) -> DFlowAutomaton:
-        from .automata import reindex_automaton
-
         if rho.dom != x.sort_word:
             raise RankMismatch(f"reindex {x.sort_word} by symbol on {rho.dom}")
         base = reindex_automaton(x.base, lift_symbol(rho, len(self.data)))
@@ -111,8 +115,6 @@ class DFlowAlgebra:
         return x.sort_word
 
     def equivalent(self, x: DFlowAutomaton, y: DFlowAutomaton, witness=None) -> bool:
-        from .automata import equivalent_automata
-
         return (
             x.data == y.data
             and x.sort_word == y.sort_word
@@ -157,8 +159,6 @@ def alternating_switch(n: int, sort: Sort = DEFAULT_SORT) -> DFlowAutomaton:
 def atomic_switch_dflow(n: int, sort: Sort = DEFAULT_SORT) -> DFlowAutomaton:
     """The plain n-port switch viewed as a data-flow automaton over a
     single dummy datum."""
-    from .automata import atomic_switch
-
     base = atomic_switch(n, sort)
     return DFlowAutomaton((0,), base.iface, base)
 
@@ -563,8 +563,6 @@ def tm_encode(spec: TMSpec, tape_len: int, sort: Sort = DEFAULT_SORT) -> GraphMa
 
 def reverse_machine(m: GraphMachine) -> GraphMachine:
     """Reverse every local automaton; encodes the reversed rule relation."""
-    from .automata import reverse
-
     omega = {
         name: DFlowAutomaton(a.data, a.sort_word, reverse(a.base))
         for name, a in m.omega.items()

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import perm
 from .errors import RankMismatch, UnknownSymbol
+from .match import find_bijection
 from .perm import Obj, PermSymbol, Sort
 
 Port = tuple[int, int]  # (vertex id, 0-based port index)
@@ -304,59 +305,7 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
     return _renumbered(vertices, new_edges)
 
 
-def compose(g1: SigmaGraph, g2: SigmaGraph, a: Obj, b: Obj, c: Obj) -> SigmaGraph:
-    """Plug ``g1 : a -> b`` into ``g2 : b -> c`` along the shared ``b``."""
-    from .algebra import compose_in
-
-    return compose_in(GRAPH_ALGEBRA, g1, g2, a, b, c)
-
-
-def tensor_graphs(
-    g1: SigmaGraph, g2: SigmaGraph, a: Obj, b: Obj, c: Obj, d: Obj
-) -> SigmaGraph:
-    """Juxtapose ``g1 : a -> b`` and ``g2 : c -> d``."""
-    from .algebra import tensor_in
-
-    return tensor_in(GRAPH_ALGEBRA, g1, g2, a, b, c, d)
-
-
 # -- isomorphism -----------------------------------------------------------
-
-
-def _refine_colors(g: SigmaGraph) -> dict[int, tuple]:
-    """Stable coloring of internal vertices by label and neighborhood."""
-
-    def neighbor_token(vid: int, i: int, colors):
-        q = g.partner((vid, i))
-        lab = g.vertices[q[0]]
-        if isinstance(lab, InterfaceLabel):
-            return ("in", lab.serial)
-        if q[0] == vid:
-            return ("self", q[1])
-        return ("sym", colors[q[0]], q[1])
-
-    colors = {
-        vid: (g.vertices[vid].name, str(g.vertices[vid].rank))
-        for vid in g.internal_vertices()
-    }
-    for _ in range(len(colors) + 1):
-        refined = {
-            vid: (
-                colors[vid],
-                tuple(
-                    neighbor_token(vid, i, colors)
-                    for i in range(len(g.ports_of(vid)))
-                ),
-            )
-            for vid in colors
-        }
-        # compress to small tokens so tuples stay shallow
-        palette = {c: k for k, c in enumerate(sorted(set(refined.values()), key=repr))}
-        new = {vid: (palette[refined[vid]],) for vid in refined}
-        if new == colors:
-            break
-        colors = new
-    return colors
 
 
 def isomorphic(g1: SigmaGraph, g2: SigmaGraph) -> bool:
@@ -382,53 +331,25 @@ def isomorphic(g1: SigmaGraph, g2: SigmaGraph) -> bool:
     if wires(g1) != wires(g2):
         return False
 
-    c1 = _refine_colors(g1)
-    c2 = _refine_colors(g2)
-    by_color1: dict[tuple, list[int]] = {}
-    by_color2: dict[tuple, list[int]] = {}
-    for v, c in c1.items():
-        by_color1.setdefault(c, []).append(v)
-    for v, c in c2.items():
-        by_color2.setdefault(c, []).append(v)
-    if set(by_color1) != set(by_color2):
-        return False
-    if any(len(by_color1[c]) != len(by_color2[c]) for c in by_color1):
-        return False
+    def colored(g):
+        """Internal vertices coloured by label and the (port, serial) pairs
+        that attach them to interfaces; internal edges in both directions
+        as ``(v, (i, j), w)``."""
+        attached: dict[int, list] = {v: [] for v in g.internal_vertices()}
+        edges = []
+        for p, q in g.edges:
+            for (v, i), (w, j) in ((p, q), (q, p)):
+                if v not in attached:
+                    continue
+                lab = g.vertices[w]
+                if isinstance(lab, InterfaceLabel):
+                    attached[v].append((i, lab.serial))
+                else:
+                    edges.append((v, (i, j), w))
+        colors = {v: (g.vertices[v], tuple(sorted(a))) for v, a in attached.items()}
+        return colors, edges
 
-    iface1 = g1.interface_vertices()
-    iface2 = g2.interface_vertices()
-    mapping: dict[int, int] = {iface1[s]: iface2[s] for s in iface1}
-
-    def edges_ok(v, w):
-        """Every edge of v into already-mapped territory must exist in g2."""
-        trial = dict(mapping)
-        trial[v] = w
-        for i in range(len(g1.ports_of(v))):
-            q = g1.partner((v, i))
-            if q[0] in trial:
-                if frozenset({(w, i), (trial[q[0]], q[1])}) not in g2.edges:
-                    return False
-        return True
-
-    order = sorted(c1, key=lambda v: (len(by_color1[c1[v]]), v))
-    used: set[int] = set()
-
-    def backtrack(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for w in by_color2[c1[v]]:
-            if w in used or not edges_ok(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(k + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return backtrack(0)
+    return find_bijection(*colored(g1), *colored(g2)) is not None
 
 
 # -- decomposition into a term ----------------------------------------------

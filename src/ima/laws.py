@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import perm as pm
 from . import term as tm
-from .automata import ANCHOR, AutomataAlgebra, TuringAutomaton
+from .automata import ANCHOR, AutomataAlgebra, TuringAutomaton, trace_automaton
 from .dflow import DFlowAlgebra, DFlowAutomaton, expand_word
 from .graph import GraphAlgebra, InterfaceLabel, LoopLabel, SigmaGraph, SymbolLabel
 from .perm import Obj, PermSymbol, Sort
@@ -143,10 +143,26 @@ def graphs_under_test() -> AlgebraUnderTest:
     return AlgebraUnderTest("graphs", GraphAlgebra(), random_graph)
 
 
+class AlternationMutant(AutomataAlgebra):
+    """Automata with a wrong trace: control leaving at a traced position
+    re-enters at that same position instead of its glued partner.  It
+    exists so the law suite can be shown to catch a wrong trace."""
+
+    def trace(self, w, x):
+        n = len(w)
+
+        def partner(p):
+            if p == ANCHOR or p > 2 * n:
+                return p
+            return p + n if p <= n else p - n
+
+        delta = frozenset(((q, partner(p)), out) for (q, p), out in x.delta)
+        return trace_automaton(TuringAutomaton(x.iface, x.states, delta), w)
+
+
 def automata_under_test(broken_alternation: bool = False) -> AlgebraUnderTest:
-    return AlgebraUnderTest(
-        "automata", AutomataAlgebra(broken_alternation), random_automaton
-    )
+    algebra = AlternationMutant() if broken_alternation else AutomataAlgebra()
+    return AlgebraUnderTest("automata", algebra, random_automaton)
 
 
 def dflow_under_test() -> AlgebraUnderTest:

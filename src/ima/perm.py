@@ -193,11 +193,6 @@ def tensor_all(symbols: Sequence[PermSymbol]) -> PermSymbol:
     return reduce(tensor, symbols, PermSymbol((), ()))
 
 
-def equivalent(r1: PermSymbol, r2: PermSymbol) -> bool:
-    """Equal domain and codomain objects and equal flattenings."""
-    return r1 == r2
-
-
 def from_groups_fine(groups: Sequence[Sequence[Obj]], alpha: Sequence[int]) -> PermSymbol:
     """Read a grouped symbol at the letter level: one block per inner
     object, the group permutation ``alpha`` lifted blockwise."""

@@ -397,7 +397,11 @@ def _parse_sum(toks: _Tokens) -> Term:
 
 def parse(text: str) -> Term:
     toks = _Tokens(text)
-    t = _parse_sum(toks)
+    try:
+        t = _parse_sum(toks)
+    except RecursionError:
+        _, _, line, col = toks.peek()
+        raise ParseError("term is nested too deeply", line, col) from None
     kind, value, line, col = toks.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {value!r}", line, col)

@@ -14,16 +14,16 @@ from ima.automata import (
     alt_product,
     alt_star,
     atomic_switch,
-    compose_automata,
     equivalent_automata,
     identity_automaton,
     is_deterministic,
     reindex_automaton,
     reverse,
     sum_automata,
-    tensor_automata,
     trace_automaton,
 )
+from ima import laws
+from ima.algebra import compose_in, tensor_in
 from ima.perm import Obj, block_transposition, compose, identity
 
 A = Obj.parse("A")
@@ -197,7 +197,7 @@ def test_sum_with_unit_identity():
 
 
 def test_tensor_of_identities_is_identity():
-    got = tensor_automata(identity_automaton(A), identity_automaton(B), A, A, B, B)
+    got = tensor_in(AutomataAlgebra(), identity_automaton(A), identity_automaton(B), A, A, B, B)
     want = identity_automaton(Obj.parse("AB"))
     assert equivalent_automata(got, want)
 
@@ -254,14 +254,14 @@ def test_trace_rank_mismatch():
 def test_compose_with_identity_automaton():
     t = atomic_switch(2)
     s = Obj.of(t.iface.word[0])
-    got = compose_automata(t, identity_automaton(s), s, s, s)
+    got = compose_in(AutomataAlgebra(), t, identity_automaton(s), s, s, s)
     assert equivalent_automata(got, t, witness=lambda q: q[0])
 
 
 def test_compose_identity_left_automaton():
     t = atomic_switch(2)
     s = Obj.of(t.iface.word[0])
-    got = compose_automata(identity_automaton(s), t, s, s, s)
+    got = compose_in(AutomataAlgebra(), identity_automaton(s), t, s, s, s)
     assert equivalent_automata(got, t, witness=lambda q: q[1])
 
 
@@ -426,12 +426,12 @@ def test_equivalent_search_handles_symmetric_products():
     )
 
 
-# -- the broken-alternation flag ---------------------------------------------------------------
+# -- the alternation mutant --------------------------------------------------------------------
 
 def test_broken_alternation_changes_trace():
     # entering the glued pair on side 1 must continue from side 2; with a
     # plain (non-alternating) product the chain continues from side 1
-    broken = AutomataAlgebra(broken_alternation=True)
+    broken = laws.automata_under_test(broken_alternation=True).algebra
     good = AutomataAlgebra()
     t = TuringAutomaton(
         Obj.parse("AAA"),

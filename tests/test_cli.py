@@ -35,6 +35,13 @@ def test_parse_error_exit_code(term_file, capsys):
     assert "error" in err
 
 
+def test_parse_deeply_nested_exit_code(term_file, capsys):
+    f = term_file("deep.term", "(" * 1200 + "id(A)" + ")" * 1200 + "\n")
+    code, _, err = run(capsys, "parse", f)
+    assert code == 2
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
 def test_normalize_loop_vertex_dot(term_file, capsys):
     f = term_file("t.term", "tr(A, id(A))\n")
     code, out, _ = run(capsys, "--dot", "normalize", f)

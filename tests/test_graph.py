@@ -1,15 +1,16 @@
 import pytest
 
 from ima import term as tm
+from ima.algebra import compose_in, tensor_in
 from ima.errors import RankMismatch, UnknownSymbol
 from ima.graph import (
+    GRAPH_ALGEBRA,
     InterfaceLabel,
     LoopLabel,
     RankedAlphabet,
     SigmaGraph,
     SymbolLabel,
     atom,
-    compose,
     decompose,
     format_graph,
     identity_graph,
@@ -17,7 +18,6 @@ from ima.graph import (
     parse_graph,
     reindex,
     sum_graphs,
-    tensor_graphs,
     to_dot,
     trace,
 )
@@ -217,16 +217,16 @@ def test_trace_simultaneous_equals_sequential():
 
 def test_compose_with_identity():
     f = atom(ALPHABET, "f")  # read as B -> A
-    assert isomorphic(compose(f, identity_graph(A), B, A, A), f)
+    assert isomorphic(compose_in(GRAPH_ALGEBRA, f, identity_graph(A), B, A, A), f)
 
 
 def test_compose_identity_left():
     f = atom(ALPHABET, "f")
-    assert isomorphic(compose(identity_graph(B), f, B, B, A), f)
+    assert isomorphic(compose_in(GRAPH_ALGEBRA, identity_graph(B), f, B, B, A), f)
 
 
 def test_tensor_of_identities():
-    got = tensor_graphs(identity_graph(A), identity_graph(B), A, A, B, B)
+    got = tensor_in(GRAPH_ALGEBRA, identity_graph(A), identity_graph(B), A, A, B, B)
     assert isomorphic(got, identity_graph(AB))
 
 
@@ -234,9 +234,9 @@ def test_compose_split_mismatch():
     from ima.errors import SplitMismatch
 
     with pytest.raises(SplitMismatch):
-        compose(atom(ALPHABET, "f"), identity_graph(A), A, B, B)
+        compose_in(GRAPH_ALGEBRA, atom(ALPHABET, "f"), identity_graph(A), A, B, B)
     with pytest.raises(SplitMismatch):
-        tensor_graphs(identity_graph(A), identity_graph(B), A, B, B, B)
+        tensor_in(GRAPH_ALGEBRA, identity_graph(A), identity_graph(B), A, B, B, B)
 
 
 # -- isomorphism -------------------------------------------------------------------

@@ -341,57 +341,6 @@ def equivalent_automata(t1: TuringAutomaton, t2: TuringAutomaton, witness=None) 
     return find_bijection(*colored(t1), *colored(t2)) is not None
 
 
-# -- file format ---------------------------------------------------------------
-
-
-def parse_automaton(text: str) -> TuringAutomaton:
-    """Read the JSON format written by :func:`format_automaton`; states
-    are arbitrary JSON scalars, positions are 1-based or ``"*"``."""
-    import json
-
-    doc = json.loads(text)
-    iface = Obj.parse(doc["interface"])
-    states = frozenset(doc["states"])
-
-    def pos(x):
-        return ANCHOR if x == "*" else int(x)
-
-    delta = frozenset(
-        ((q, pos(x)), (r, pos(y))) for q, x, r, y in doc["transitions"]
-    )
-    return TuringAutomaton(iface, states, delta)
-
-
-def format_automaton(t: TuringAutomaton) -> str:
-    """JSON with interface word, state list and transition quadruples.
-
-    Scalar states are written as they are (the file then reparses); product
-    states from sums are written as display-only repr strings.
-    """
-    import json
-
-    plain = all(isinstance(q, (str, int, float, bool)) for q in t.states)
-
-    def enc(q):
-        return q if plain else repr(q)
-
-    return (
-        json.dumps(
-            {
-                "interface": str(t.iface),
-                "states": sorted((enc(q) for q in t.states), key=repr),
-                "transitions": sorted(
-                    ([enc(q), x, enc(r), y] for (q, x), (r, y) in t.delta),
-                    key=repr,
-                ),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-
-
 class AutomataAlgebra:
     """The indexed monoidal algebra of Turing automata."""
 

@@ -11,9 +11,14 @@ by one term.  Machine files are JSON documents::
      "omega": {"c2": {"builtin": "alternating_switch", "n": 2},
                "f":  "f.auto.json"}}
 
-Referenced automaton files are JSON with data, arity, states and
-transition quadruples [q, x, q2, y] where x and y are "*" or a
-[datum, port] pair.  All outputs are deterministic: collections are
+Automaton files (``eval --automaton``, ``eval --machine`` output and
+the ``omega`` files above) share one JSON format, read and written by
+``dflow.parse_automaton``/``dflow.format_automaton``: an interface word,
+states and transition quadruples [q, x, q2, y] where x and y are "*" or
+a 1-based position.  A data-flow automaton, the only kind ``omega``
+accepts, also has ``data``; its interface is the port word and x and y
+are "*" or a [datum, port] pair.  Tuple states are written as lists and
+read back as tuples.  All outputs are deterministic: collections are
 sorted before printing.
 """
 
@@ -25,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import dflow, graph as gr, laws, soliton as sol, term as tm
-from .automata import ANCHOR, TuringAutomaton
+from .automata import ANCHOR
 from .dflow import DFlowAutomaton, GraphMachine
 from .errors import ImaError
 from .graph import RankedAlphabet
@@ -50,26 +55,6 @@ def read_term_file(path: str) -> tuple[tm.Term, RankedAlphabet]:
     return t, RankedAlphabet(sigs)
 
 
-def load_dflow_automaton(path: Path) -> DFlowAutomaton:
-    doc = json.loads(path.read_text())
-    data = tuple(doc["data"])
-    arity = int(doc["arity"])
-    sort_word = Obj(tuple(gr.DEFAULT_SORT for _ in range(arity)))
-    states = frozenset(doc["states"])
-
-    def pos(x):
-        if x == "*":
-            return ANCHOR
-        d, port = x
-        return dflow.position_of(int(port), data.index(d), len(data))
-
-    delta = frozenset(
-        ((q, pos(x)), (r, pos(y))) for q, x, r, y in doc["transitions"]
-    )
-    base = TuringAutomaton(dflow.expand_word(sort_word, len(data)), states, delta)
-    return DFlowAutomaton(data, sort_word, base)
-
-
 BUILTIN_AUTOMATA = {
     "alternating_switch": dflow.alternating_switch,
     "atomic_switch": dflow.atomic_switch_dflow,
@@ -84,34 +69,16 @@ def load_machine(path: str) -> GraphMachine:
     omega = {}
     for name, spec in doc.get("omega", {}).items():
         if isinstance(spec, str):
-            omega[name] = load_dflow_automaton(mpath.parent / spec)
+            auto = dflow.parse_automaton((mpath.parent / spec).read_text())
+            if not isinstance(auto, DFlowAutomaton):
+                raise ImaError(f"automaton file {spec!r} for {name!r} has no data")
+            omega[name] = auto
         else:
             omega[name] = BUILTIN_AUTOMATA[spec["builtin"]](int(spec["n"]))
     return GraphMachine(graph, data, omega)
 
 
-def dump_dflow_automaton(auto: DFlowAutomaton) -> str:
-    k = len(auto.data)
-
-    def pos(x):
-        if x == ANCHOR:
-            return "*"
-        port, d = dflow.decode_position(x, k)
-        return [auto.data[d], port]
-
-    doc = {
-        "data": list(auto.data),
-        "arity": auto.arity(),
-        "states": sorted(repr(q) for q in auto.base.states),
-        "transitions": sorted(
-            ([repr(q), pos(x), repr(r), pos(y)] for (q, x), (r, y) in auto.base.delta),
-            key=repr,
-        ),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _load_state(path: str, m: GraphMachine) -> dict[int, object]:
+def _load_state(path: str) -> dict[int, object]:
     doc = json.loads(Path(path).read_text())
     return {int(k): v for k, v in doc.items()}
 
@@ -159,13 +126,10 @@ def cmd_export_dot(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.automaton:
-        from .automata import format_automaton, parse_automaton
-
-        t = parse_automaton(Path(args.automaton).read_text())
-        sys.stdout.write(format_automaton(t))
-        return 0
-    m = load_machine(args.machine)
-    sys.stdout.write(dump_dflow_automaton(dflow.evaluate(m)))
+        auto = dflow.parse_automaton(Path(args.automaton).read_text())
+    else:
+        auto = dflow.evaluate(load_machine(args.machine))
+    sys.stdout.write(dflow.format_automaton(auto))
     return 0
 
 
@@ -185,7 +149,7 @@ def cmd_simulate(args) -> int:
     if args.dot:
         sys.stdout.write(gr.to_dot(m.graph))
         return 0
-    start = _load_state(args.state, m)
+    start = _load_state(args.state)
     frm = _endpoint(getattr(args, "from"))
     to = _endpoint(args.to)
     pairs = dflow.walks(m, start, frm, to)

@@ -18,6 +18,7 @@ at a time, carrying a datum across edges.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -161,6 +162,75 @@ def atomic_switch_dflow(n: int, sort: Sort = DEFAULT_SORT) -> DFlowAutomaton:
     single dummy datum."""
     base = atomic_switch(n, sort)
     return DFlowAutomaton((0,), base.iface, base)
+
+
+# -- file format ----------------------------------------------------------------
+
+
+def _to_json(v):
+    """Tuples become lists, recursively; scalars pass through."""
+    return [_to_json(u) for u in v] if isinstance(v, tuple) else v
+
+
+def _from_json(v):
+    """Inverse of :func:`_to_json`: lists become tuples, recursively."""
+    return tuple(_from_json(u) for u in v) if isinstance(v, list) else v
+
+
+def format_automaton(a: TuringAutomaton | DFlowAutomaton) -> str:
+    """JSON with the interface word, the state list and transition
+    quadruples ``[q, x, r, y]``, each list sorted.  Positions are 1-based
+    ints in a plain automaton; a data-flow automaton also lists its
+    ``data``, has its port word as interface and writes positions as
+    ``[datum, port]``.  The anchor is ``"*"``.  Tuples (product states
+    from sums) are written as lists, so :func:`parse_automaton` reads the
+    text back to an equal automaton."""
+    flow = isinstance(a, DFlowAutomaton)
+    base = a.base if flow else a
+    doc = {"interface": str(a.sort_word if flow else a.iface)}
+    if flow:
+        doc["data"] = _to_json(a.data)
+
+    def pos(x):
+        if x == ANCHOR or not flow:
+            return x
+        port, d = decode_position(x, len(a.data))
+        return [_to_json(a.data[d]), port]
+
+    doc["states"] = sorted((_to_json(q) for q in base.states), key=repr)
+    doc["transitions"] = sorted(
+        (
+            [_to_json(q), pos(x), _to_json(r), pos(y)]
+            for (q, x), (r, y) in base.delta
+        ),
+        key=repr,
+    )
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
+    """Read the JSON written by :func:`format_automaton`: a data-flow
+    automaton when the document has ``data``, a plain one otherwise."""
+    doc = json.loads(text)
+    word = Obj.parse(doc["interface"])
+    states = frozenset(_from_json(q) for q in doc["states"])
+    flow = "data" in doc
+    data = tuple(_from_json(d) for d in doc["data"]) if flow else ()
+
+    def pos(x):
+        if x == ANCHOR:
+            return x
+        if not flow:
+            return int(x)
+        d, port = x
+        return position_of(int(port), data.index(_from_json(d)), len(data))
+
+    delta = frozenset(
+        ((_from_json(q), pos(x)), (_from_json(r), pos(y)))
+        for q, x, r, y in doc["transitions"]
+    )
+    base = TuringAutomaton(expand_word(word, len(data)) if flow else word, states, delta)
+    return DFlowAutomaton(data, word, base) if flow else base
 
 
 # -- graph machines -----------------------------------------------------------
@@ -311,36 +381,29 @@ def step(m: GraphMachine, c: Config) -> set[Config]:
     if kind == "port":
         _, vid, port = c.locus
         auto = m.local(vid)
-        entry = auto.position(port + 1, c.datum)
-        for (q, x), (r, y) in auto.base.delta:
-            if q != local[vid] or x != entry:
-                continue
-            nxt = dict(local)
-            nxt[vid] = r
-            if y == ANCHOR:
-                out.add(Config.make(nxt, ("anchor",), None))
-            else:
-                out_port, d_idx = decode_position(y, len(auto.data))
-                out.add(
-                    _cross(m, nxt, (vid, out_port - 1), auto.data[d_idx])
-                )
+        _fire(m, local, vid, auto, auto.position(port + 1, c.datum), out)
         return out
     # anchor: any vertex may fire an anchor-entry transition
     for vid in m.graph.internal_vertices():
-        auto = m.local(vid)
-        for (q, x), (r, y) in auto.base.delta:
-            if q != local[vid] or x != ANCHOR:
-                continue
-            nxt = dict(local)
-            nxt[vid] = r
-            if y == ANCHOR:
-                out.add(Config.make(nxt, ("anchor",), None))
-            else:
-                out_port, d_idx = decode_position(y, len(auto.data))
-                out.add(
-                    _cross(m, nxt, (vid, out_port - 1), auto.data[d_idx])
-                )
+        _fire(m, local, vid, m.local(vid), ANCHOR, out)
     return out
+
+
+def _fire(
+    m: GraphMachine, local: dict, vid: int, auto: DFlowAutomaton, entry, out: set[Config]
+):
+    """Add to ``out`` every configuration reached by vertex ``vid``, whose
+    automaton is ``auto``, firing a local transition entering at ``entry``."""
+    for (q, x), (r, y) in auto.base.delta:
+        if q != local[vid] or x != entry:
+            continue
+        nxt = dict(local)
+        nxt[vid] = r
+        if y == ANCHOR:
+            out.add(Config.make(nxt, ("anchor",), None))
+        else:
+            out_port, d_idx = decode_position(y, len(auto.data))
+            out.add(_cross(m, nxt, (vid, out_port - 1), auto.data[d_idx]))
 
 
 def _is_terminal(c: Config) -> bool:
@@ -410,7 +473,6 @@ def walks(
     start_local: Mapping[int, object],
     frm,
     to,
-    stepper=None,
 ) -> set:
     """All behavior pairs from interface-or-anchor ``frm`` to ``to``.
 
@@ -419,11 +481,10 @@ def walks(
     positions of the machine automaton (or the anchor).  A walk is a
     nonempty chain of steps ending at a terminal locus.
     """
-    stepper = stepper or (lambda c: step(m, c))
     pack = state_packer(m)
     out = set()
     for s0 in _start_configs(m, start_local, frm):
-        for c2 in _reachable_exits(m, s0, stepper):
+        for c2 in _reachable_exits(m, s0, lambda c: step(m, c)):
             if to == ANCHOR and c2.locus != ("anchor",):
                 continue
             if to != ANCHOR and c2.locus != ("iface", to):

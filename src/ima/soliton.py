@@ -20,6 +20,7 @@ from .dflow import (
     Config,
     GraphMachine,
     alternating_switch,
+    enumerate_walks,
 )
 from .errors import BadLabel, NotInternalEdge
 from .graph import DEFAULT_SORT, InterfaceLabel, SigmaGraph, SymbolLabel
@@ -158,8 +159,6 @@ def soliton_walks(
     configuration sequence including entry and exit; walks may revisit
     configurations, so the bound keeps the enumeration finite.
     """
-    from .dflow import enumerate_walks
-
     out = set()
     for walk in enumerate_walks(p.machine, _machine_state(q), i, j, max_steps):
         final = tuple(sorted(_soliton_state(walk[-1].local_map()).items()))

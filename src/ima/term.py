@@ -22,6 +22,7 @@ consumed, so ``t . p1 . p2`` denotes one indexing by the composite
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping
 
 from . import perm as pm
@@ -82,6 +83,20 @@ class Tensor:
 Term = Atom | Id | Sum | Trace | Index | Comp | Tensor
 
 
+def summands(t: Term) -> list[Term]:
+    """The operands of the left-nested ``Sum`` spine of ``t``, left to
+    right (``[t]`` when ``t`` is not a sum).  Walks the spine without
+    recursion, so flat sums of any length are safe; folding the result
+    left with ``Sum`` rebuilds ``t`` exactly."""
+    out = []
+    while isinstance(t, Sum):
+        out.append(t.right)
+        t = t.left
+    out.append(t)
+    out.reverse()
+    return out
+
+
 # -- ranking ------------------------------------------------------------------
 
 
@@ -94,7 +109,7 @@ def rank(t: Term, ranks: Mapping[str, Obj]) -> Obj:
     if isinstance(t, Id):
         return t.w + t.w
     if isinstance(t, Sum):
-        return rank(t.left, ranks) + rank(t.right, ranks)
+        return pm.concat([rank(u, ranks) for u in summands(t)])
     if isinstance(t, Trace):
         r = rank(t.body, ranks)
         n = len(t.w)
@@ -132,7 +147,7 @@ def desugar(t: Term) -> Term:
     if isinstance(t, (Atom, Id)):
         return t
     if isinstance(t, Sum):
-        return Sum(desugar(t.left), desugar(t.right))
+        return reduce(Sum, [desugar(u) for u in summands(t)])
     if isinstance(t, Trace):
         return Trace(t.w, desugar(t.body))
     if isinstance(t, Index):
@@ -179,7 +194,7 @@ def _eval(t: Term, interp: Interpretation):
     if isinstance(t, Id):
         return alg.identity(t.w)
     if isinstance(t, Sum):
-        return alg.sum(_eval(t.left, interp), _eval(t.right, interp))
+        return reduce(alg.sum, (_eval(u, interp) for u in summands(t)))
     if isinstance(t, Trace):
         return alg.trace(t.w, _eval(t.body, interp))
     if isinstance(t, Index):
@@ -190,7 +205,9 @@ def _eval(t: Term, interp: Interpretation):
 def atoms(t: Term) -> set[str]:
     if isinstance(t, Atom):
         return {t.name}
-    if isinstance(t, (Sum, Comp, Tensor)):
+    if isinstance(t, Sum):
+        return set().union(*(atoms(u) for u in summands(t)))
+    if isinstance(t, (Comp, Tensor)):
         return atoms(t.left) | atoms(t.right)
     if isinstance(t, (Trace, Index)):
         return atoms(t.body)
@@ -455,11 +472,11 @@ def format_term(t: Term) -> str:
     if isinstance(t, Id):
         return f"id({t.w})"
     if isinstance(t, Sum):
-        left = format_term(t.left)
-        right = format_term(t.right)
-        if isinstance(t.right, Sum):
-            right = f"({right})"
-        return f"{left} + {right}"
+        # the first summand is never a sum; a later one that is needs parentheses
+        return " + ".join(
+            f"({format_term(u)})" if isinstance(u, Sum) else format_term(u)
+            for u in summands(t)
+        )
     if isinstance(t, Trace):
         return f"tr({t.w}, {format_term(t.body)})"
     if isinstance(t, Index):

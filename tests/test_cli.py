@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ima.cli import main
+from ima import dflow, term as tm
+from ima.cli import load_machine, main
 
 
 def run(capsys, *argv):
@@ -40,6 +41,19 @@ def test_parse_deeply_nested_exit_code(term_file, capsys):
     code, _, err = run(capsys, "parse", f)
     assert code == 2
     assert err.startswith("error: ") and "nested too deeply" in err
+
+
+def test_flat_sum_of_many_summands(term_file, capsys):
+    text = " + ".join(["id(A)"] + ["id()"] * 1199)
+    f = term_file("flat.term", text + "\n")
+    code, out, err = run(capsys, "parse", f)
+    assert code == 0 and not err
+    # Term equality is recursive; equal summand lists of two left-nested
+    # sums mean equal terms.
+    assert tm.summands(tm.parse(out)) == tm.summands(tm.parse(text))
+    code, out, err = run(capsys, "normalize", f)
+    assert code == 0 and not err
+    assert out.startswith("graph AA")
 
 
 def test_normalize_loop_vertex_dot(term_file, capsys):
@@ -100,9 +114,44 @@ def test_eval_machine(machine_files, capsys):
     code, out, _ = run(capsys, "eval", "--machine", str(machine_files / "m.json"))
     assert code == 0
     doc = json.loads(out)
-    assert doc["arity"] == 2
+    assert doc["interface"] == "11"
     assert doc["data"] == [0, 1]
-    assert ["1", [1, 1], "2", [0, 2]] in doc["transitions"]
+    assert [1, [1, 1], 2, [0, 2]] in doc["transitions"]
+
+
+def test_eval_machine_output_reloads_as_omega_file(machine_files, capsys):
+    (machine_files / "chain.graph").write_text(
+        "graph 11\n"
+        "vertex 0 sym:c2\n"
+        "vertex 1 sym:c2\n"
+        "vertex 2 in:1:1\n"
+        "vertex 3 in:2:1\n"
+        "edge 2.1 0.1\n"
+        "edge 0.2 1.1\n"
+        "edge 1.2 3.1\n"
+    )
+    chain = {"graph": "chain.graph", "data": [0, 1],
+             "omega": {"c2": {"builtin": "alternating_switch", "n": 2}}}
+    (machine_files / "chain.json").write_text(json.dumps(chain))
+    code, out, _ = run(capsys, "eval", "--machine", str(machine_files / "chain.json"))
+    assert code == 0
+    (machine_files / "chain.auto.json").write_text(out)
+    outer = {"graph": "path.graph", "data": [0, 1], "omega": {"c2": "chain.auto.json"}}
+    (machine_files / "outer.json").write_text(json.dumps(outer))
+    expected = dflow.evaluate(load_machine(str(machine_files / "chain.json")))
+    assert load_machine(str(machine_files / "outer.json")).omega["c2"] == expected
+    code, again, _ = run(capsys, "eval", "--automaton", str(machine_files / "chain.auto.json"))
+    assert code == 0 and again == out
+
+
+def test_machine_rejects_omega_file_without_data(machine_files, capsys):
+    plain = {"interface": "11", "states": [0], "transitions": [[0, 1, 0, 2]]}
+    (machine_files / "plain.auto.json").write_text(json.dumps(plain))
+    doc = {"graph": "path.graph", "data": [0, 1], "omega": {"c2": "plain.auto.json"}}
+    (machine_files / "m2.json").write_text(json.dumps(doc))
+    code, _, err = run(capsys, "eval", "--machine", str(machine_files / "m2.json"))
+    assert code == 2
+    assert err.startswith("error: ") and "has no data" in err
 
 
 def test_eval_plain_automaton_file(tmp_path, capsys):

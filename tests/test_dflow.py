@@ -1,6 +1,10 @@
+import json
+import random
+
 import pytest
 
-from ima.automata import ANCHOR, TuringAutomaton, reverse
+from ima import laws
+from ima.automata import ANCHOR, TuringAutomaton, atomic_switch, reverse, sum_automata
 from ima.dflow import (
     Config,
     DFlowAlgebra,
@@ -12,8 +16,10 @@ from ima.dflow import (
     decode_position,
     evaluate,
     expand_word,
+    format_automaton,
     machine_states,
     pack_state,
+    parse_automaton,
     position_of,
     reverse_machine,
     run_tm,
@@ -385,3 +391,47 @@ def test_run_tm_out_of_bounds():
     spec = unary_increment_tm()
     with pytest.raises(InvalidSpec):
         run_tm(spec, ["1", "1"])  # never sees a blank before the edge
+
+
+# -- file format ----------------------------------------------------------------
+
+
+def round_trips(a) -> bool:
+    return parse_automaton(format_automaton(a)) == a
+
+
+def test_file_round_trip_named_automata():
+    tm_auto = evaluate(tm_encode(unary_increment_tm(), 4))
+    assert all(isinstance(q, tuple) for q in tm_auto.base.states)
+    plain_sum = sum_automata(atomic_switch(2), atomic_switch(3))
+    for a in (
+        tm_auto,
+        alternating_switch(3),
+        atomic_switch_dflow(2),
+        atomic_switch(3),
+        plain_sum,
+    ):
+        assert round_trips(a), a
+
+
+def test_file_round_trip_random_automata():
+    rng = random.Random(11)
+    dflow_alg = DFlowAlgebra(laws.DATA)
+    for _ in range(150):
+        w, v = laws.random_obj(rng, 3), laws.random_obj(rng, 2)
+        a, b = laws.random_automaton(rng, w), laws.random_automaton(rng, v)
+        x, y = laws.random_dflow(rng, w), laws.random_dflow(rng, v)
+        for auto in (a, x, sum_automata(a, b), dflow_alg.sum(x, y)):
+            assert round_trips(auto), format_automaton(auto)
+
+
+def test_file_format_shapes():
+    plain = json.loads(format_automaton(atomic_switch(2)))
+    assert plain["interface"] == "11" and "data" not in plain
+    assert all(isinstance(x, (int, str)) for _, x, _, _ in plain["transitions"])
+    flow = json.loads(format_automaton(alternating_switch(2)))
+    assert flow["data"] == [0, 1] and flow["interface"] == "11"
+    assert [1, [1, 1], 2, [0, 2]] in flow["transitions"]
+    assert [1, "*", 1, "*"] in flow["transitions"]
+    summed = json.loads(format_automaton(sum_automata(atomic_switch(1), atomic_switch(1))))
+    assert summed["states"] == [[1, 1]]

@@ -33,9 +33,3 @@ def tensor_in(alg, f, g, a: Obj, b: Obj, c: Obj, d: Obj):
     rho = tensor_all([identity(a), block_transposition(b, c), identity(d)])
     return alg.reindex(alg.sum(f, g), rho)
 
-
-def symmetry_in(alg, a: Obj, b: Obj):
-    """The braiding ``a (x) b -> b (x) a`` built from the identity."""
-    ab = a + b
-    rho = tensor(identity(ab), block_transposition(a, b))
-    return alg.reindex(alg.identity(ab), rho)

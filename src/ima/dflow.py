@@ -210,27 +210,31 @@ def format_automaton(a: TuringAutomaton | DFlowAutomaton) -> str:
 
 def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
     """Read the JSON written by :func:`format_automaton`: a data-flow
-    automaton when the document has ``data``, a plain one otherwise."""
+    automaton when the document has ``data``, a plain one otherwise.
+    A document of the wrong shape raises ``ValueError``."""
     doc = json.loads(text)
-    word = Obj.parse(doc["interface"])
-    states = frozenset(_from_json(q) for q in doc["states"])
-    flow = "data" in doc
-    data = tuple(_from_json(d) for d in doc["data"]) if flow else ()
+    try:
+        word = Obj.parse(doc["interface"])
+        states = frozenset(_from_json(q) for q in doc["states"])
+        flow = "data" in doc
+        data = tuple(_from_json(d) for d in doc["data"]) if flow else ()
 
-    def pos(x):
-        if x == ANCHOR:
-            return x
-        if not flow:
-            return int(x)
-        d, port = x
-        return position_of(int(port), data.index(_from_json(d)), len(data))
+        def pos(x):
+            if x == ANCHOR:
+                return x
+            if not flow:
+                return int(x)
+            d, port = x
+            return position_of(int(port), data.index(_from_json(d)), len(data))
 
-    delta = frozenset(
-        ((_from_json(q), pos(x)), (_from_json(r), pos(y)))
-        for q, x, r, y in doc["transitions"]
-    )
-    base = TuringAutomaton(expand_word(word, len(data)) if flow else word, states, delta)
-    return DFlowAutomaton(data, word, base) if flow else base
+        delta = frozenset(
+            ((_from_json(q), pos(x)), (_from_json(r), pos(y)))
+            for q, x, r, y in doc["transitions"]
+        )
+        base = TuringAutomaton(expand_word(word, len(data)) if flow else word, states, delta)
+        return DFlowAutomaton(data, word, base) if flow else base
+    except TypeError as err:
+        raise ValueError(f"malformed automaton file: {err}") from None
 
 
 # -- graph machines -----------------------------------------------------------

@@ -74,26 +74,52 @@ class RankedAlphabet:
 
 
 class SigmaGraph:
-    """Immutable value; compare with :func:`isomorphic`, not ``==``."""
+    """Immutable value; compare with :func:`isomorphic`, not ``==``.
 
-    __slots__ = ("vertices", "edges", "_partner")
+    The constructor is the one place that checks a graph, for parts that
+    come from outside.  Sum and reindex build well-formed graphs from
+    already checked operands and skip it."""
+
+    __slots__ = ("vertices", "edges", "_partner", "_ifaces", "_rank")
 
     def __init__(self, vertices: dict[int, Label], edges):
-        self.vertices: dict[int, Label] = dict(vertices)
-        self.edges: frozenset[frozenset[Port]] = frozenset(
-            frozenset(e) for e in edges
+        vertices = dict(vertices)
+        edges = frozenset(frozenset(e) for e in edges)
+        ifaces = sorted(
+            (lab.serial, vid)
+            for vid, lab in vertices.items()
+            if isinstance(lab, InterfaceLabel)
         )
+        serials = [s for s, _ in ifaces]
+        if serials != list(range(1, len(ifaces) + 1)):
+            raise ValueError(f"interface serials {serials} have gaps")
         partner: dict[Port, Port] = {}
-        for e in self.edges:
+        for e in edges:
             pair = sorted(e)
             if len(pair) != 2:
                 raise ValueError(f"edge {pair} must join two distinct ports")
+            sorts = []
+            for x in pair:
+                vid, i = x
+                ports = label_ports(vertices[vid]) if vid in vertices else ()
+                if not 0 <= i < len(ports):
+                    raise ValueError(f"edge endpoint {x} is not a port")
+                if x in partner:
+                    raise ValueError(f"port {x} lies on two edges")
+                sorts.append(ports[i])
             p, q = pair
+            if sorts[0] != sorts[1]:
+                raise ValueError(f"edge {p}-{q} joins ports of different sorts")
             partner[p] = q
             partner[q] = p
+        if len(partner) != sum(len(label_ports(lab)) for lab in vertices.values()):
+            ports = {(v, i) for v, lab in vertices.items() for i in range(len(label_ports(lab)))}
+            raise ValueError(f"unmatched ports: {sorted(ports - partner.keys())}")
+        self.vertices: dict[int, Label] = vertices
+        self.edges: frozenset[frozenset[Port]] = edges
         self._partner = partner
-        if __debug__:
-            self._validate()
+        self._ifaces = tuple(vid for _, vid in ifaces)
+        self._rank = Obj(tuple(vertices[vid].sort for vid in self._ifaces))
 
     # -- structure ------------------------------------------------------
 
@@ -108,11 +134,7 @@ class SigmaGraph:
 
     def interface_vertices(self) -> dict[int, int]:
         """serial -> vertex id"""
-        return {
-            lab.serial: vid
-            for vid, lab in self.vertices.items()
-            if isinstance(lab, InterfaceLabel)
-        }
+        return dict(enumerate(self._ifaces, start=1))
 
     def internal_vertices(self) -> list[int]:
         return sorted(
@@ -125,31 +147,7 @@ class SigmaGraph:
         )
 
     def rank_word(self) -> Obj:
-        ifaces = self.interface_vertices()
-        return Obj(
-            tuple(self.vertices[ifaces[s]].sort for s in sorted(ifaces))
-        )
-
-    def _validate(self):
-        ifaces = self.interface_vertices()
-        if sorted(ifaces) != list(range(1, len(ifaces) + 1)):
-            raise ValueError(f"interface serials {sorted(ifaces)} have gaps")
-        all_ports = {
-            (vid, i) for vid in self.vertices for i in range(len(self.ports_of(vid)))
-        }
-        seen = set()
-        for e in self.edges:
-            p, q = sorted(e)
-            for x in (p, q):
-                if x not in all_ports:
-                    raise ValueError(f"edge endpoint {x} is not a port")
-                if x in seen:
-                    raise ValueError(f"port {x} lies on two edges")
-                seen.add(x)
-            if self.port_sort(p) != self.port_sort(q):
-                raise ValueError(f"edge {p}-{q} joins ports of different sorts")
-        if seen != all_ports:
-            raise ValueError(f"unmatched ports: {sorted(all_ports - seen)}")
+        return self._rank
 
     def __repr__(self):
         n = len(self.internal_vertices())
@@ -159,13 +157,15 @@ class SigmaGraph:
         )
 
 
-def _renumbered(vertices: dict[int, Label], edges) -> SigmaGraph:
-    order = sorted(vertices)
-    remap = {old: new for new, old in enumerate(order)}
-    return SigmaGraph(
-        {remap[v]: lab for v, lab in vertices.items()},
-        [frozenset({(remap[a], i), (remap[b], j)}) for e in edges for (a, i), (b, j) in [sorted(e)]],
+def _assemble(vertices, edges, partner, ifaces, rank) -> SigmaGraph:
+    """A graph from parts that are well-formed by construction, unchecked:
+    ``ifaces`` lists the interface vertex ids in serial order and ``rank``
+    their sorts."""
+    g = object.__new__(SigmaGraph)
+    g.vertices, g.edges, g._partner, g._ifaces, g._rank = (
+        vertices, edges, partner, ifaces, rank
     )
+    return g
 
 
 # -- constructors ---------------------------------------------------------
@@ -202,20 +202,17 @@ def reindex(g: SigmaGraph, rho: PermSymbol) -> SigmaGraph:
     """Relabel interface serials by the flattening of ``rho``."""
     if rho.dom != g.rank_word():
         raise RankMismatch(f"reindex: graph has rank {g.rank_word()}, symbol domain {rho.dom}")
-    sends = rho.flatten()
-    vertices = {
-        vid: (
-            InterfaceLabel(sends[lab.serial - 1] + 1, lab.sort)
-            if isinstance(lab, InterfaceLabel)
-            else lab
-        )
-        for vid, lab in g.vertices.items()
-    }
-    return _renumbered(vertices, g.edges)
+    vertices = dict(g.vertices)
+    ifaces = list(g._ifaces)
+    for vid, to in zip(g._ifaces, rho.flatten()):
+        vertices[vid] = InterfaceLabel(to + 1, vertices[vid].sort)
+        ifaces[to] = vid
+    return _assemble(vertices, g.edges, g._partner, tuple(ifaces), rho.cod)
 
 
 def sum_graphs(g1: SigmaGraph, g2: SigmaGraph) -> SigmaGraph:
-    """Disjoint union; the second graph's serials are shifted."""
+    """Disjoint union; the second graph's vertex ids and serials are
+    shifted past the first's."""
     shift = len(g1.rank_word())
     offset = (max(g1.vertices) + 1) if g1.vertices else 0
     vertices = dict(g1.vertices)
@@ -223,12 +220,15 @@ def sum_graphs(g1: SigmaGraph, g2: SigmaGraph) -> SigmaGraph:
         if isinstance(lab, InterfaceLabel):
             lab = InterfaceLabel(lab.serial + shift, lab.sort)
         vertices[offset + vid] = lab
-    edges = list(g1.edges) + [
-        frozenset({(offset + a, i), (offset + b, j)})
-        for e in g2.edges
-        for (a, i), (b, j) in [sorted(e)]
-    ]
-    return _renumbered(vertices, edges)
+    partner = dict(g1._partner)
+    partner.update(
+        ((offset + a, i), (offset + b, j)) for (a, i), (b, j) in g2._partner.items()
+    )
+    edges = g1.edges | {
+        frozenset({(offset + a, i), (offset + b, j)}) for (a, i), (b, j) in g2.edges
+    }
+    ifaces = g1._ifaces + tuple(offset + vid for vid in g2._ifaces)
+    return _assemble(vertices, edges, partner, ifaces, g1.rank_word() + g2.rank_word())
 
 
 def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
@@ -237,7 +237,9 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
     All pairs are spliced simultaneously by following chains of edges
     through the deleted interface ports.  A chain that closes on itself
     without reaching a surviving port leaves a fresh loop vertex of the
-    chain's common sort.  Surviving interfaces are renumbered in order.
+    chain's common sort.  Surviving vertices keep their order and are
+    numbered from 0, loop vertices after them; surviving interfaces are
+    renumbered in order.
     """
     n = len(w)
     rank = g.rank_word()
@@ -252,29 +254,24 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
         splice[a] = b
         splice[b] = a
         deleted_vids.update((ifaces[i], ifaces[n + i]))
-    deleted_ports = set(splice)
 
+    kept = sorted(vid for vid in g.vertices if vid not in deleted_vids)
+    new_id = {vid: k for k, vid in enumerate(kept)}
     new_edges = []
     used = set()
-    surviving = sorted(
-        (vid, i)
-        for vid in g.vertices
-        if vid not in deleted_vids
-        for i in range(len(g.ports_of(vid)))
-    )
-    for p in surviving:
+    for p in ((vid, i) for vid in kept for i in range(len(g.ports_of(vid)))):
         if p in used:
             continue
         q = g.partner(p)
-        while q in deleted_ports:
+        while q in splice:
             used.add(q)
             used.add(splice[q])
             q = g.partner(splice[q])
         used.update((p, q))
-        new_edges.append({p, q})
+        new_edges.append({(new_id[p[0]], p[1]), (new_id[q[0]], q[1])})
 
     loop_sorts = []
-    for a in sorted(deleted_ports):
+    for a in sorted(splice):
         if a in used:
             continue
         sort = g.port_sort(a)
@@ -289,20 +286,14 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
         loop_sorts.append(sort)
 
     vertices: dict[int, Label] = {}
-    serial_map = {}
-    for s in sorted(ifaces):
-        if s > 2 * n:
-            serial_map[s] = len(serial_map) + 1
-    for vid, lab in g.vertices.items():
-        if vid in deleted_vids:
-            continue
+    for k, vid in enumerate(kept):
+        lab = g.vertices[vid]
         if isinstance(lab, InterfaceLabel):
-            lab = InterfaceLabel(serial_map[lab.serial], lab.sort)
-        vertices[vid] = lab
-    next_vid = (max(g.vertices) + 1) if g.vertices else 0
-    for k, sort in enumerate(loop_sorts):
-        vertices[next_vid + k] = LoopLabel(sort)
-    return _renumbered(vertices, new_edges)
+            lab = InterfaceLabel(lab.serial - 2 * n, lab.sort)
+        vertices[k] = lab
+    for k, sort in enumerate(loop_sorts, start=len(kept)):
+        vertices[k] = LoopLabel(sort)
+    return SigmaGraph(vertices, new_edges)
 
 
 # -- isomorphism -----------------------------------------------------------
@@ -367,10 +358,6 @@ class DecompositionPlan:
     trace_word: Obj
     sends: tuple[int, ...]  # position permutation applied before the trace
     base_word: Obj
-
-    @property
-    def summand_count(self) -> int:
-        return len(self.atoms) + len(self.wire_sorts) + len(self.loop_sorts)
 
 
 def decomposition_plan(g: SigmaGraph) -> DecompositionPlan:

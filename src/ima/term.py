@@ -43,10 +43,20 @@ class Id:
     w: Obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum:
     left: "Term"
     right: "Term"
+
+    # Equality and hashing go through the summand list, so comparing or
+    # hashing a long left-nested sum does not recurse down its spine.
+    def __eq__(self, other):
+        if other.__class__ is not Sum:
+            return NotImplemented
+        return summands(self) == summands(other)
+
+    def __hash__(self):
+        return hash(tuple(summands(self)))
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,8 @@ def test_flat_sum_of_many_summands(term_file, capsys):
     f = term_file("flat.term", text + "\n")
     code, out, err = run(capsys, "parse", f)
     assert code == 0 and not err
-    # Term equality is recursive; equal summand lists of two left-nested
-    # sums mean equal terms.
-    assert tm.summands(tm.parse(out)) == tm.summands(tm.parse(text))
+    assert tm.parse(out) == tm.parse(text)
+    assert hash(tm.parse(out)) == hash(tm.parse(text))
     code, out, err = run(capsys, "normalize", f)
     assert code == 0 and not err
     assert out.startswith("graph AA")
@@ -169,6 +168,22 @@ def test_eval_plain_automaton_file(tmp_path, capsys):
     assert [0, 1, 0, 2] in back["transitions"]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"interface": "AA", "states": [0], "transitions": [[0, [1], 0, 2]]},
+    ],
+    ids=["list-document", "list-position"],
+)
+def test_eval_malformed_automaton_file(tmp_path, capsys, doc):
+    f = tmp_path / "bad.auto.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "eval", "--automaton", str(f))
+    assert code == 2
+    assert err.startswith("error: malformed automaton file")
+
+
 def test_simulate_transcript(machine_files, capsys):
     code, out, _ = run(
         capsys,
@@ -267,6 +282,14 @@ def test_export_dot(machine_files, capsys):
     assert code == 0
     assert out.startswith("graph G {")
     assert "shape=box" in out
+
+
+def test_export_dot_rejects_serial_gap(tmp_path, capsys):
+    f = tmp_path / "gap.graph"
+    f.write_text("vertex 0 in:1:A\nvertex 1 in:3:A\nedge 0.1 1.1\n")
+    code, out, err = run(capsys, "export-dot", str(f))
+    assert code == 2 and not out
+    assert err == "error: interface serials [1, 3] have gaps\n"
 
 
 def test_axioms_pass(capsys):

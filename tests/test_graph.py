@@ -1,5 +1,13 @@
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ima
 from ima import term as tm
 from ima.algebra import compose_in, tensor_in
 from ima.errors import RankMismatch, UnknownSymbol
@@ -21,6 +29,7 @@ from ima.graph import (
     to_dot,
     trace,
 )
+from ima.laws import random_graph, random_obj, random_symbol_on
 from ima.perm import Obj, Sort, block_transposition, identity
 
 A = Obj.parse("A")
@@ -33,6 +42,104 @@ ALPHABET = RankedAlphabet({"f": Obj.parse("BA"), "g": Obj.parse("ABA"), "k": UNI
 
 def sorts_of_loops(g):
     return sorted(g.vertices[v].sort.name for v in g.loop_vertices())
+
+
+# -- well-formedness checks --------------------------------------------------------
+
+SA, SB = Sort("A"), Sort("B")
+TWO_IFACES = {0: InterfaceLabel(1, SA), 1: InterfaceLabel(2, SA)}
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (TWO_IFACES, [{(0, 0)}], "edge [(0, 0)] must join two distinct ports"),
+        (TWO_IFACES, [{(0, 0), (9, 0)}], "edge endpoint (9, 0) is not a port"),
+        (TWO_IFACES, [{(0, 0), (1, 1)}], "edge endpoint (1, 1) is not a port"),
+        (
+            {**TWO_IFACES, 2: InterfaceLabel(3, SA)},
+            [{(0, 0), (1, 0)}, {(1, 0), (2, 0)}],
+            "port (1, 0) lies on two edges",
+        ),
+        (
+            {0: InterfaceLabel(1, SA), 1: InterfaceLabel(2, SB)},
+            [{(0, 0), (1, 0)}],
+            "edge (0, 0)-(1, 0) joins ports of different sorts",
+        ),
+        (TWO_IFACES, [], "unmatched ports: [(0, 0), (1, 0)]"),
+        (
+            {0: InterfaceLabel(1, SA), 1: InterfaceLabel(3, SA)},
+            [{(0, 0), (1, 0)}],
+            "interface serials [1, 3] have gaps",
+        ),
+        (
+            {0: InterfaceLabel(1, SA), 1: InterfaceLabel(1, SA)},
+            [{(0, 0), (1, 0)}],
+            "interface serials [1, 1] have gaps",
+        ),
+    ],
+    ids=[
+        "one-port-edge", "unknown-vertex", "port-out-of-range", "shared-port",
+        "sort-mismatch", "unmatched", "serial-gap", "serial-repeated",
+    ],
+)
+def test_malformed_graph_rejected(vertices, edges, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SigmaGraph(vertices, edges)
+
+
+def test_checks_run_under_optimisation():
+    code = (
+        "from ima.graph import InterfaceLabel, SigmaGraph\n"
+        "from ima.perm import Sort\n"
+        "a = Sort('A')\n"
+        "try:\n"
+        "    SigmaGraph({0: InterfaceLabel(1, a), 1: InterfaceLabel(3, a)}, [{(0, 0), (1, 0)}])\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ima.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "interface serials [1, 3] have gaps\n"
+
+
+def assert_well_formed(g):
+    """``g`` passes the constructor's checks unchanged."""
+    back = SigmaGraph(g.vertices, g.edges)
+    assert back.rank_word() == g.rank_word()
+    assert back.interface_vertices() == g.interface_vertices()
+    assert format_graph(back) == format_graph(g)
+    for p, q in g.edges:
+        assert g.partner(p) == q and g.partner(q) == p
+
+
+def test_operation_results_are_well_formed():
+    # sum and reindex build their results without the constructor's checks
+    rng = random.Random(11)
+    for _ in range(300):
+        w = random_obj(rng)
+        g = random_graph(rng, w + w + random_obj(rng))
+        h = random_graph(rng, random_obj(rng))
+        summed, traced = sum_graphs(g, h), trace(g, w)
+        moved = reindex(summed, random_symbol_on(rng, summed.rank_word()))
+        for result in (summed, traced, moved, sum_graphs(traced, moved)):
+            assert_well_formed(result)
+
+
+def test_sum_of_graphs_with_sparse_ids():
+    text = "vertex {} in:1:A\nvertex {} sym:h\nvertex {} in:2:A\nedge {}.1 {}.1\nedge {}.2 {}.1\n"
+    sparse = parse_graph(text.format(10, 20, 30, 10, 20, 20, 30))
+    dense = parse_graph(text.format(0, 1, 2, 0, 1, 1, 2))
+    for got, want in [
+        (sum_graphs(sparse, sparse), sum_graphs(dense, dense)),
+        (sum_graphs(dense, sparse), sum_graphs(dense, dense)),
+        (trace(sum_graphs(sparse, sparse), A), trace(sum_graphs(dense, dense), A)),
+    ]:
+        assert_well_formed(got)
+        assert isomorphic(got, want)
 
 
 # -- constructors -------------------------------------------------------------

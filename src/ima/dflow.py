@@ -266,16 +266,13 @@ class GraphMachine:
 
 def evaluate(m: GraphMachine) -> DFlowAutomaton:
     """The machine as one automaton over D x (rank of the graph): the star
-    decomposition of the graph evaluated in the data-flow algebra."""
-    alg = DFlowAlgebra(m.data)
-    interp = tm.Interpretation(
-        alg, {name: auto for name, auto in m.omega.items()}
-    )
-    needed = {m.graph.vertices[v].name for v in m.graph.internal_vertices()}
-    missing = needed - set(m.omega)
-    if missing:
-        raise MissingSymbol(f"interpretation misses {sorted(missing)}")
-    return tm.evaluate(gr.decompose(m.graph), interp)
+    decomposition of the graph evaluated in the data-flow algebra, in the
+    order :func:`term.trace_early` gives it.  Atoms are summed in
+    vertex-id order and each internal edge is traced as soon as both of
+    its end vertices are in, so every trace runs over the ports on the
+    frontier between summed and unsummed vertices, not over all of them."""
+    interp = tm.Interpretation(DFlowAlgebra(m.data), m.omega)
+    return tm.evaluate(tm.trace_early(gr.decompose(m.graph), interp.ranks()), interp)
 
 
 def machine_states(m: GraphMachine) -> list[dict[int, object]]:
@@ -288,7 +285,9 @@ def machine_states(m: GraphMachine) -> list[dict[int, object]]:
 def state_packer(m: GraphMachine):
     """Maps local-state assignments to global states of ``evaluate(m)``:
     summands fold left to right in decomposition order (atoms by vertex
-    id, then wire and loop markers with their single silent state)."""
+    id, then wire and loop markers with their single silent state).  The
+    traces and indexings that ``evaluate`` interleaves with the sums keep
+    states as they are, so a state is the left-nested tuple of the parts."""
     plan = gr.decomposition_plan(m.graph)
     silent = len(plan.wire_sorts) + len(plan.loop_sorts)
     vids = [vid for vid, _, _ in plan.atoms]

@@ -26,6 +26,7 @@ from functools import reduce
 from typing import Mapping
 
 from . import perm as pm
+from .algebra import compose_in, tensor_in
 from .errors import MissingSymbol, ParseError, RankError
 from .perm import Obj, PermSymbol
 
@@ -107,70 +108,143 @@ def summands(t: Term) -> list[Term]:
     return out
 
 
+def fold(t: Term, visit):
+    """``visit(node, values)`` applied bottom-up over ``t``, where
+    ``values`` lists the results for the node's operands: the summands of
+    its ``Sum`` spine, the body of a ``Trace`` or ``Index``, the two sides
+    of a ``Comp`` or ``Tensor``, none for a leaf.  An explicit stack
+    replaces recursion, so terms nested to any depth are safe."""
+    values: list = []
+    stack: list = [t]  # nodes to expand, and (node, operand count) to visit
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls is tuple:
+            node, k = node
+            args = values[-k:]
+            del values[-k:]
+            values.append(visit(node, args))
+        elif cls is Trace or cls is Index:
+            stack += ((node, 1), node.body)
+        elif cls is Sum:
+            operands = summands(node)
+            stack.append((node, len(operands)))
+            stack += reversed(operands)
+        elif cls is Comp or cls is Tensor:
+            stack += ((node, 2), node.right, node.left)
+        else:
+            values.append(visit(node, ()))
+    return values[0]
+
+
 # -- ranking ------------------------------------------------------------------
 
 
 def rank(t: Term, ranks: Mapping[str, Obj]) -> Obj:
     """The unique rank word of ``t``, with atom ranks from ``ranks``."""
-    if isinstance(t, Atom):
-        if t.name not in ranks:
-            raise RankError(f"unknown atom {t.name!r}", t)
-        return ranks[t.name]
-    if isinstance(t, Id):
-        return t.w + t.w
-    if isinstance(t, Sum):
-        return pm.concat([rank(u, ranks) for u in summands(t)])
-    if isinstance(t, Trace):
-        r = rank(t.body, ranks)
-        n = len(t.w)
-        if r[: 2 * n] != t.w + t.w:
-            raise RankError(
-                f"trace over {t.w} needs rank starting {t.w}{t.w}, got {r}", t
-            )
-        return r[2 * n :]
-    if isinstance(t, Index):
-        r = rank(t.body, ranks)
-        if t.rho.dom != r:
-            raise RankError(
-                f"indexing expects domain {r}, symbol has {t.rho.dom}", t
-            )
-        return t.rho.cod
-    if isinstance(t, Comp):
-        rl, rr = rank(t.left, ranks), rank(t.right, ranks)
-        if rl != t.a + t.b:
-            raise RankError(f"left of comp has rank {rl}, split says {t.a + t.b}", t)
-        if rr != t.b + t.c:
-            raise RankError(f"right of comp has rank {rr}, split says {t.b + t.c}", t)
-        return t.a + t.c
-    if isinstance(t, Tensor):
-        rl, rr = rank(t.left, ranks), rank(t.right, ranks)
-        if rl != t.a + t.b:
-            raise RankError(f"left of ten has rank {rl}, split says {t.a + t.b}", t)
-        if rr != t.c + t.d:
-            raise RankError(f"right of ten has rank {rr}, split says {t.c + t.d}", t)
-        return t.a + t.c + t.b + t.d
-    raise TypeError(f"not a term: {t!r}")
+
+    def visit(t, rs):
+        if isinstance(t, Atom):
+            if t.name not in ranks:
+                raise RankError(f"unknown atom {t.name!r}", t)
+            return ranks[t.name]
+        if isinstance(t, Id):
+            return t.w + t.w
+        if isinstance(t, Sum):
+            return pm.concat(rs)
+        if isinstance(t, Trace):
+            r = rs[0]
+            n = len(t.w)
+            if r[: 2 * n] != t.w + t.w:
+                raise RankError(
+                    f"trace over {t.w} needs rank starting {t.w}{t.w}, got {r}", t
+                )
+            return r[2 * n :]
+        if isinstance(t, Index):
+            r = rs[0]
+            if t.rho.dom != r:
+                raise RankError(
+                    f"indexing expects domain {r}, symbol has {t.rho.dom}", t
+                )
+            return t.rho.cod
+        if isinstance(t, Comp):
+            rl, rr = rs
+            if rl != t.a + t.b:
+                raise RankError(f"left of comp has rank {rl}, split says {t.a + t.b}", t)
+            if rr != t.b + t.c:
+                raise RankError(f"right of comp has rank {rr}, split says {t.b + t.c}", t)
+            return t.a + t.c
+        if isinstance(t, Tensor):
+            rl, rr = rs
+            if rl != t.a + t.b:
+                raise RankError(f"left of ten has rank {rl}, split says {t.a + t.b}", t)
+            if rr != t.c + t.d:
+                raise RankError(f"right of ten has rank {rr}, split says {t.c + t.d}", t)
+            return t.a + t.c + t.b + t.d
+        raise TypeError(f"not a term: {t!r}")
+
+    return fold(t, visit)
 
 
-def desugar(t: Term) -> Term:
-    """Eliminate Comp/Tensor into Sum, Index and Trace."""
-    if isinstance(t, (Atom, Id)):
-        return t
-    if isinstance(t, Sum):
-        return reduce(Sum, [desugar(u) for u in summands(t)])
+def trace_early(t: Term, ranks: Mapping[str, Obj]) -> Term:
+    """The same morphism as ``t``, with each traced pair closed as soon as
+    both of its ends are summed.
+
+    ``t`` is read as ``tr_w((s_1 + ... + s_k) . rho)``, a missing trace or
+    indexing counting as the empty one.  The summands are added in the
+    same left-to-right order; after each one, an indexing moves the pairs
+    whose two ends are now both present to the front and a trace closes
+    them.  A last indexing puts the open positions in the order of ``t``'s
+    rank.  Each step is the superposing axiom ``tr(A) + C = tr(A + C)``
+    with naturality of trace in the indexing, so the result has the value
+    of ``t`` in every algebra, and sums keep their left-nested shape.
+    Each trace is as wide as the frontier between the summed and the
+    unsummed summands rather than the whole sum.
+    """
+    w = pm.UNIT
     if isinstance(t, Trace):
-        return Trace(t.w, desugar(t.body))
+        w, t = t.w, t.body
+    sends = None
     if isinstance(t, Index):
-        return Index(desugar(t.body), t.rho)
-    if isinstance(t, Comp):
-        rho = pm.tensor(pm.block_transposition(t.a, t.b + t.b), pm.identity(t.c))
-        return Trace(t.b, Index(Sum(desugar(t.left), desugar(t.right)), rho))
-    if isinstance(t, Tensor):
-        rho = pm.tensor_all(
-            [pm.identity(t.a), pm.block_transposition(t.b, t.c), pm.identity(t.d)]
-        )
-        return Index(Sum(desugar(t.left), desugar(t.right)), rho)
-    raise TypeError(f"not a term: {t!r}")
+        t, sends = t.body, t.rho.flatten()
+    n = len(w)
+
+    def reindexed(body, targets):
+        """``body``, whose rank is the positions ``open_``, with the k-th
+        of them sent to ``targets[k]``."""
+        if targets == list(range(len(targets))):
+            return body
+        word = Obj(tuple(letters[p] for p in open_))
+        return Index(body, pm.from_positions(word, targets))
+
+    body = None
+    letters = []  # sort of each summed position, by position in the sum
+    goal = []  # where ``rho`` sends each summed position
+    open_ = []  # positions of the sum still open in ``body``'s rank, in order
+    where = {}  # goal under the trace -> position in the sum
+    for u in summands(t):
+        ready = []
+        for s in rank(u, ranks):
+            p = len(letters)
+            j = p if sends is None else sends[p]
+            letters.append(s)
+            goal.append(j)
+            open_.append(p)
+            if j < 2 * n:
+                where[j] = p
+                if (j + n if j < n else j - n) in where:
+                    ready.append(j % n)
+        body = u if body is None else Sum(body, u)
+        if ready:
+            ready.sort()
+            closing = [where[i] for i in ready] + [where[n + i] for i in ready]
+            shut = set(closing)
+            rest = [p for p in open_ if p not in shut]
+            at = {p: k for k, p in enumerate(closing + rest)}
+            body = reindexed(body, [at[p] for p in open_])
+            body = Trace(Obj(tuple(letters[where[i]] for i in ready)), body)
+            open_ = rest
+    return reindexed(body, [goal[p] - 2 * n for p in open_])
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -189,39 +263,48 @@ class Interpretation:
 
 def evaluate(t: Term, interp: Interpretation):
     """Fold ``t`` through the target algebra; the unique homomorphic
-    extension of the symbol assignment."""
-    for a in atoms(t):
-        if a not in interp.symbols:
-            raise MissingSymbol(f"interpretation does not cover {a!r}")
-    rank(t, interp.ranks())
-    return _eval(desugar(t), interp)
-
-
-def _eval(t: Term, interp: Interpretation):
+    extension of the symbol assignment.  ``comp`` and ``ten`` are the
+    algebra's derived composition and tensor.  A term naming an atom the
+    interpretation lacks raises ``MissingSymbol``, any other ill-ranked
+    term ``RankError``."""
+    try:
+        rank(t, interp.ranks())
+    except RankError:
+        missing = atoms(t) - interp.symbols.keys()
+        if missing:
+            raise MissingSymbol(
+                f"interpretation does not cover {sorted(missing)[0]!r}"
+            ) from None
+        raise
     alg = interp.algebra
-    if isinstance(t, Atom):
-        return interp.symbols[t.name]
-    if isinstance(t, Id):
-        return alg.identity(t.w)
-    if isinstance(t, Sum):
-        return reduce(alg.sum, (_eval(u, interp) for u in summands(t)))
-    if isinstance(t, Trace):
-        return alg.trace(t.w, _eval(t.body, interp))
-    if isinstance(t, Index):
-        return alg.reindex(_eval(t.body, interp), t.rho)
-    raise TypeError(f"not desugared: {t!r}")
+
+    def visit(t, vs):
+        if isinstance(t, Atom):
+            return interp.symbols[t.name]
+        if isinstance(t, Id):
+            return alg.identity(t.w)
+        if isinstance(t, Sum):
+            return reduce(alg.sum, vs)
+        if isinstance(t, Trace):
+            return alg.trace(t.w, vs[0])
+        if isinstance(t, Index):
+            return alg.reindex(vs[0], t.rho)
+        if isinstance(t, Comp):
+            return compose_in(alg, *vs, t.a, t.b, t.c)
+        return tensor_in(alg, *vs, t.a, t.b, t.c, t.d)  # rank let only terms through
+
+    return fold(t, visit)
 
 
 def atoms(t: Term) -> set[str]:
-    if isinstance(t, Atom):
-        return {t.name}
-    if isinstance(t, Sum):
-        return set().union(*(atoms(u) for u in summands(t)))
-    if isinstance(t, (Comp, Tensor)):
-        return atoms(t.left) | atoms(t.right)
-    if isinstance(t, (Trace, Index)):
-        return atoms(t.body)
-    return set()
+    names = set()
+
+    def visit(t, _):
+        if isinstance(t, Atom):
+            names.add(t.name)
+
+    fold(t, visit)
+    return names
 
 
 def graph_interpretation(alphabet) -> Interpretation:
@@ -477,31 +560,28 @@ def format_perm(rho: PermSymbol) -> str:
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Atom):
-        return f"atom {t.name}"
-    if isinstance(t, Id):
-        return f"id({t.w})"
-    if isinstance(t, Sum):
-        # the first summand is never a sum; a later one that is needs parentheses
-        return " + ".join(
-            f"({format_term(u)})" if isinstance(u, Sum) else format_term(u)
-            for u in summands(t)
-        )
-    if isinstance(t, Trace):
-        return f"tr({t.w}, {format_term(t.body)})"
-    if isinstance(t, Index):
-        body = format_term(t.body)
-        if isinstance(t.body, (Sum, Index)):
-            body = f"({body})"
-        return f"{body} . {format_perm(t.rho)}"
-    if isinstance(t, Comp):
-        return (
-            f"comp[{t.a};{t.b};{t.c}]"
-            f"({format_term(t.left)}, {format_term(t.right)})"
-        )
-    if isinstance(t, Tensor):
-        return (
-            f"ten[{t.a};{t.b};{t.c};{t.d}]"
-            f"({format_term(t.left)}, {format_term(t.right)})"
-        )
-    raise TypeError(f"not a term: {t!r}")
+    def visit(t, texts):
+        if isinstance(t, Atom):
+            return f"atom {t.name}"
+        if isinstance(t, Id):
+            return f"id({t.w})"
+        if isinstance(t, Sum):
+            # the first summand is never a sum; a later one that is needs parentheses
+            return " + ".join(
+                f"({text})" if isinstance(u, Sum) else text
+                for u, text in zip(summands(t), texts)
+            )
+        if isinstance(t, Trace):
+            return f"tr({t.w}, {texts[0]})"
+        if isinstance(t, Index):
+            body = texts[0]
+            if isinstance(t.body, (Sum, Index)):
+                body = f"({body})"
+            return f"{body} . {format_perm(t.rho)}"
+        if isinstance(t, Comp):
+            return f"comp[{t.a};{t.b};{t.c}]({texts[0]}, {texts[1]})"
+        if isinstance(t, Tensor):
+            return f"ten[{t.a};{t.b};{t.c};{t.d}]({texts[0]}, {texts[1]})"
+        raise TypeError(f"not a term: {t!r}")
+
+    return fold(t, visit)

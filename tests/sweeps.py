@@ -1,5 +1,6 @@
 """Enumeration helpers for the acceptance sweeps: small connected
-port graphs, switch machines over them, and random machines."""
+port graphs, switch machines over them, random machines and random
+multi-sorted port graphs."""
 
 import itertools
 import random
@@ -14,8 +15,10 @@ from ima.dflow import (
 from ima.graph import (
     DEFAULT_SORT,
     InterfaceLabel,
+    LoopLabel,
     SigmaGraph,
     SymbolLabel,
+    label_ports,
 )
 from ima.laws import random_automaton
 from ima.perm import Obj
@@ -169,3 +172,27 @@ def random_machine(rng: random.Random, max_internal=4, max_iface=2) -> GraphMach
         base = random_automaton(rng, expand_word(word, len(data)), density=5)
         omega[f"m{d}"] = DFlowAutomaton(data, word, base)
     return GraphMachine(g, data, omega)
+
+
+def random_port_graph(rng: random.Random, ranks, iface_sorts, loop_sorts=()) -> SigmaGraph:
+    """Internal vertices ``SymbolLabel(name, rank)`` for the given pairs,
+    interfaces of the given sorts in serial order and loop vertices, all
+    at shuffled vertex ids, so serials need not follow vertex order.
+    Ports are paired at random within each sort, so self-loops, parallel
+    edges and interface-to-interface wires all occur.  Every sort needs an
+    even number of ports."""
+    labels = [SymbolLabel(name, rank) for name, rank in ranks]
+    labels += [InterfaceLabel(serial, s) for serial, s in enumerate(iface_sorts, start=1)]
+    labels += [LoopLabel(s) for s in loop_sorts]
+    ids = list(range(len(labels)))
+    rng.shuffle(ids)
+    vertices = dict(zip(ids, labels))
+    by_sort: dict = {}
+    for vid in sorted(vertices):
+        for i, s in enumerate(label_ports(vertices[vid])):
+            by_sort.setdefault(s, []).append((vid, i))
+    edges = []
+    for group in by_sort.values():
+        rng.shuffle(group)
+        edges += [{group[i], group[i + 1]} for i in range(0, len(group), 2)]
+    return SigmaGraph(vertices, edges)

@@ -3,13 +3,16 @@ import random
 
 import pytest
 
-from ima import laws
+from ima import automata, laws
+from ima import graph as gr
+from ima import term as tm
 from ima.automata import ANCHOR, TuringAutomaton, atomic_switch, reverse, sum_automata
 from ima.dflow import (
     Config,
     DFlowAlgebra,
     DFlowAutomaton,
     GraphMachine,
+    TMSpec,
     alternating_switch,
     atomic_switch_dflow,
     cell_automaton,
@@ -37,6 +40,7 @@ from ima.graph import (
     SymbolLabel,
 )
 from ima.perm import Obj
+from sweeps import random_machine, random_port_graph, switch_machine
 
 
 S = DEFAULT_SORT
@@ -391,6 +395,122 @@ def test_run_tm_out_of_bounds():
     spec = unary_increment_tm()
     with pytest.raises(InvalidSpec):
         run_tm(spec, ["1", "1"])  # never sees a blank before the edge
+
+
+# -- evaluation order ------------------------------------------------------------
+
+
+def star_fold(m: GraphMachine) -> DFlowAutomaton:
+    """The machine's star decomposition evaluated as it stands: all atoms
+    summed, then one indexing and one trace over every internal edge."""
+    interp = tm.Interpretation(DFlowAlgebra(m.data), m.omega)
+    return tm.evaluate(gr.decompose(m.graph), interp)
+
+
+def scanner_tm() -> TMSpec:
+    """One tape symbol: the head walks right over every cell."""
+    return TMSpec(
+        states=("s", "h"),
+        tape_alphabet=("b",),
+        blank="b",
+        rules={("s", "b"): ("s", "b", "R")},
+        initial="s",
+        halting=frozenset({"h"}),
+    )
+
+
+def random_tm_spec(rng: random.Random) -> TMSpec:
+    working = ("q0", "q1")[: rng.randint(1, 2)]
+    alphabet = ("b", "1", "2")[: rng.randint(1, 3)]
+    rules = {
+        (q, g): (rng.choice(working + ("h",)), rng.choice(alphabet), rng.choice("LR"))
+        for q in working
+        for g in alphabet
+    }
+    return TMSpec(working + ("h",), alphabet, "b", rules, "q0", frozenset({"h"}))
+
+
+def switch_graph(rng: random.Random, degrees) -> SigmaGraph:
+    """Single-sorted, one ``c<d>`` vertex per degree d, 0-3 interfaces (one
+    more or fewer when the port count is odd), at most one loop vertex."""
+    n_if = rng.randint(0, 3)
+    if (sum(degrees) + n_if) % 2:
+        n_if += -1 if n_if == 3 else 1
+    ranks = [(f"c{d}", Obj((S,) * d)) for d in degrees]
+    return random_port_graph(rng, ranks, [S] * n_if, [S] * rng.randint(0, 1))
+
+
+def graph_features(g: SigmaGraph) -> set[str]:
+    out = set()
+    internal = set(g.internal_vertices())
+    if not internal:
+        out.add("no internal vertex")
+    if g.loop_vertices():
+        out.add("loop vertex")
+    pairs = []
+    for e in g.edges:
+        (a, _), (b, _) = sorted(e)
+        if a not in internal and b not in internal:
+            out.add("wire")
+        if a == b:
+            out.add("self-loop")
+        pairs.append((a, b))
+    if len(pairs) != len(set(pairs)):
+        out.add("parallel edges")
+    if list(g.interface_vertices().values()) != sorted(g.interface_vertices().values()):
+        out.add("serials out of vertex order")
+    return out
+
+
+def test_evaluate_equals_star_fold():
+    rng = random.Random(20261018)
+    machines = [tm_encode(unary_increment_tm(), n) for n in range(1, 6)]
+    machines += [tm_encode(scanner_tm(), n) for n in (1, 4)]
+    machines += [tm_encode(random_tm_spec(rng), rng.randint(2, 4)) for _ in range(6)]
+    machines += [reverse_machine(tm_encode(unary_increment_tm(), 3))]
+    for k in (2, 2, 3, 3, 4):
+        g = switch_graph(rng, [3] * k)
+        machines += [switch_machine(g, True), switch_machine(g, False)]
+    for _ in range(40):
+        g = switch_graph(rng, [rng.randint(1, 3) for _ in range(rng.randint(0, 3))])
+        machines.append(switch_machine(g, rng.random() < 0.5))
+    machines += [random_machine(rng) for _ in range(10)]
+    seen = set()
+    for m in machines:
+        seen |= graph_features(m.graph)
+        assert evaluate(m) == star_fold(m)
+    assert seen == {
+        "no internal vertex", "loop vertex", "wire", "self-loop",
+        "parallel edges", "serials out of vertex order",
+    }
+
+
+def test_evaluate_deep_tape(monkeypatch):
+    # about three term levels per cell, so the term walkers must not
+    # recurse; a trace wider than two cells' ports fails at once instead
+    # of building a table over every port of the tape
+    def narrow(t, w, *rest):
+        assert len(t.iface) <= 8, f"trace over {len(t.iface)} positions"
+        return automata.trace_automaton(t, w, *rest)
+
+    monkeypatch.setattr("ima.dflow.trace_automaton", narrow)
+    m = tm_encode(scanner_tm(), 600)
+    assert evaluate(m).base.delta == walk_closure(m)
+
+
+def test_trace_width_does_not_grow_with_tape(monkeypatch):
+    # the data-flow algebra calls trace_automaton through its own binding
+    widest = []
+
+    def spy(t, w, *rest):
+        widest[-1] = max(widest[-1], len(t.iface))
+        return automata.trace_automaton(t, w, *rest)
+
+    monkeypatch.setattr("ima.dflow.trace_automaton", spy)
+    for n in (4, 8):
+        widest.append(0)
+        evaluate(tm_encode(unary_increment_tm(), n))
+    assert widest[0] == widest[1] > 0
 
 
 # -- file format ----------------------------------------------------------------

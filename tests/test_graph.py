@@ -29,8 +29,10 @@ from ima.graph import (
     to_dot,
     trace,
 )
-from ima.laws import random_graph, random_obj, random_symbol_on
+from ima.dflow import tm_encode, unary_increment_tm
+from ima.laws import SORTS, random_graph, random_obj, random_symbol_on
 from ima.perm import Obj, Sort, block_transposition, identity
+from sweeps import random_port_graph
 
 A = Obj.parse("A")
 B = Obj.parse("B")
@@ -484,6 +486,48 @@ def test_decompose_figure_like_graph():
     assert counts == {"g": 2, "f": 2}
     interp = tm.graph_interpretation(ALPHABET)
     assert isomorphic(tm.evaluate(t, interp), g)
+
+
+def random_multigraph(rng):
+    """Up to six symbol vertices named by their rank over two sorts, 0-3
+    interfaces (plus one per sort whose port count is odd), up to two
+    loop vertices."""
+    ranks = [random_obj(rng, 3) for _ in range(rng.randint(0, 6))]
+    ifaces = [rng.choice(SORTS) for _ in range(rng.randint(0, 3))]
+    for s in SORTS:
+        if (sum(r.word.count(s) for r in ranks) + ifaces.count(s)) % 2:
+            ifaces.append(s)
+    rng.shuffle(ifaces)
+    loops = [rng.choice(SORTS) for _ in range(rng.randint(0, 2))]
+    return random_port_graph(rng, [(f"g{r}", r) for r in ranks], ifaces, loops)
+
+
+def alphabet_of(g):
+    return RankedAlphabet(
+        {g.vertices[v].name: g.vertices[v].rank for v in g.internal_vertices()}
+    )
+
+
+def test_trace_early_rebuilds_the_graph():
+    # the rewrite is an identity of the algebra, so the rewritten star
+    # decomposition still normalises to the graph
+    rng = random.Random(11)
+    for _ in range(200):
+        g = random_multigraph(rng)
+        alphabet = alphabet_of(g)
+        t = tm.trace_early(decompose(g), alphabet.symbols)
+        assert isomorphic(tm.normalize(t, alphabet), g)
+
+
+def test_trace_early_on_a_tape_traces_one_edge_at_a_time():
+    for n in range(1, 25):
+        g = tm_encode(unary_increment_tm(), n).graph
+        alphabet = alphabet_of(g)
+        t = tm.trace_early(decompose(g), alphabet.symbols)
+        widths = []
+        tm.fold(t, lambda u, _: widths.append(len(u.w)) if isinstance(u, tm.Trace) else None)
+        assert widths == [1] * (n - 1)
+        assert isomorphic(tm.normalize(t, alphabet), g)
 
 
 # -- text format ----------------------------------------------------------------------

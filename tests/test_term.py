@@ -131,6 +131,17 @@ def test_eval_of_decomposition_is_identity_oracle():
     assert isomorphic(tm.evaluate(decompose(g), graph_interp()), g)
 
 
+def test_deeply_nested_term_walkers():
+    # 3,000 nested indexings and traces: the walkers must not recurse
+    t = tm.Id(A)
+    for _ in range(1500):
+        t = tm.Trace(UNIT, tm.Index(t, block_transposition(A, A)))
+    assert tm.rank(t, RANKS) == A + A
+    assert tm.atoms(tm.Sum(t, tm.Atom("f"))) == {"f"}
+    assert tm.format_term(t).count("tr((), ") == 1500
+    assert isomorphic(tm.evaluate(t, graph_interp()), identity_graph(A))
+
+
 # -- term equality ----------------------------------------------------------------
 
 def test_term_equal_reflexive():

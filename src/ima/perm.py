@@ -190,7 +190,14 @@ def tensor(r1: PermSymbol, r2: PermSymbol) -> PermSymbol:
 
 
 def tensor_all(symbols: Sequence[PermSymbol]) -> PermSymbol:
-    return reduce(tensor, symbols, PermSymbol((), ()))
+    """``tensor`` folded over ``symbols``, built as one symbol: the blocks
+    concatenated and each ``pi`` shifted past the blocks before it."""
+    blocks: list[Obj] = []
+    pi: list[int] = []
+    for rho in symbols:
+        pi += (len(blocks) + i for i in rho.pi)
+        blocks += rho.blocks
+    return PermSymbol(tuple(blocks), tuple(pi))
 
 
 def from_groups_fine(groups: Sequence[Sequence[Obj]], alpha: Sequence[int]) -> PermSymbol:

@@ -21,6 +21,7 @@ consumed, so ``t . p1 . p2`` denotes one indexing by the composite
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping
@@ -44,36 +45,40 @@ class Id:
     w: Obj
 
 
+class _Node:
+    """Structural ``==`` and ``hash`` for the nodes with operands.  Both
+    go through the node's postorder listing, so comparing or hashing a
+    term nested to any depth does not recurse."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _postorder(self) == _postorder(other)
+
+    def __hash__(self):
+        return hash(tuple(_postorder(self)))
+
+
 @dataclass(frozen=True, eq=False)
-class Sum:
+class Sum(_Node):
     left: "Term"
     right: "Term"
 
-    # Equality and hashing go through the summand list, so comparing or
-    # hashing a long left-nested sum does not recurse down its spine.
-    def __eq__(self, other):
-        if other.__class__ is not Sum:
-            return NotImplemented
-        return summands(self) == summands(other)
 
-    def __hash__(self):
-        return hash(tuple(summands(self)))
-
-
-@dataclass(frozen=True)
-class Trace:
+@dataclass(frozen=True, eq=False)
+class Trace(_Node):
     w: Obj
     body: "Term"
 
 
-@dataclass(frozen=True)
-class Index:
+@dataclass(frozen=True, eq=False)
+class Index(_Node):
     body: "Term"
     rho: PermSymbol
 
 
-@dataclass(frozen=True)
-class Comp:
+@dataclass(frozen=True, eq=False)
+class Comp(_Node):
     a: Obj
     b: Obj
     c: Obj
@@ -81,8 +86,8 @@ class Comp:
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Tensor:
+@dataclass(frozen=True, eq=False)
+class Tensor(_Node):
     a: Obj
     b: Obj
     c: Obj
@@ -135,6 +140,32 @@ def fold(t: Term, visit):
         else:
             values.append(visit(node, ()))
     return values[0]
+
+
+def _postorder(t: Term) -> list:
+    """The nodes of ``t`` in postorder, each a leaf itself or its class
+    with its fields that are not terms (a ``Sum`` with its operand count).
+    The listing determines the term, so two terms are equal exactly when
+    their listings are."""
+    out = []
+
+    def visit(node, values):
+        cls = node.__class__
+        if cls is Sum:
+            out.append((Sum, len(values)))
+        elif cls is Trace:
+            out.append((Trace, node.w))
+        elif cls is Index:
+            out.append((Index, node.rho))
+        elif cls is Comp:
+            out.append((Comp, node.a, node.b, node.c))
+        elif cls is Tensor:
+            out.append((Tensor, node.a, node.b, node.c, node.d))
+        else:
+            out.append(node)
+
+    fold(t, visit)
+    return out
 
 
 # -- ranking ------------------------------------------------------------------
@@ -338,34 +369,29 @@ def term_equal(t1: Term, t2: Term, alphabet) -> bool:
 
 
 class _Tokens:
-    PUNCT = ("(", ")", "[", "]", ";", ",", "+", ".", "#")
+    # ``\w`` is exactly ``str.isalnum()`` or ``_``, and ``\s`` exactly
+    # ``str.isspace()``; only ``\n`` starts a new line.
+    TOKEN = re.compile(
+        r"(?P<name>\w+)|(?P<punct>[()\[\];,+.#])|(?P<space>\s+)|(?P<bad>.)", re.DOTALL
+    )
 
     def __init__(self, text: str):
         self.items: list[tuple[str, str, int, int]] = []  # kind, value, line, col
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line, col = line + 1, 1
-                i += 1
-            elif ch.isspace():
-                col += 1
-                i += 1
-            elif ch in self.PUNCT:
-                self.items.append(("punct", ch, line, col))
-                col += 1
-                i += 1
-            elif ch.isalnum() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.items.append(("name", text[i:j], line, col))
-                col += j - i
-                i = j
+        line, start = 1, 0  # start: offset of the first character of the line
+        for m in self.TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "space":
+                newlines = m.group().count("\n")
+                if newlines:
+                    line += newlines
+                    start = text.rindex("\n", m.start(), m.end()) + 1
+            elif kind == "bad":
+                raise ParseError(
+                    f"unexpected character {m.group()!r}", line, m.start() - start + 1
+                )
             else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.items.append(("eof", "", line, col))
+                self.items.append((kind, m.group(), line, m.start() - start + 1))
+        self.items.append(("eof", "", line, len(text) - start + 1))
         self.pos = 0
 
     def peek(self):
@@ -433,11 +459,11 @@ def _parse_perm_comp(toks: _Tokens) -> PermSymbol:
 
 
 def _parse_perm(toks: _Tokens) -> PermSymbol:
-    rho = _parse_perm_comp(toks)
+    parts = [_parse_perm_comp(toks)]
     while toks.peek()[1] == "#":
         toks.next()
-        rho = pm.tensor(rho, _parse_perm_comp(toks))
-    return rho
+        parts.append(_parse_perm_comp(toks))
+    return pm.tensor_all(parts)
 
 
 def _parse_primary(toks: _Tokens) -> Term:
@@ -524,38 +550,47 @@ def parse(text: str) -> Term:
 def format_perm(rho: PermSymbol) -> str:
     """Express a symbol in the concrete grammar.
 
-    Identities and two-block swaps print directly; anything else prints as
-    a chain of adjacent transpositions realizing the same flattening, which
-    reparses to an equal symbol.
+    Identities print as ``id(w)`` and two-block swaps as ``c(v,w)``.  Any
+    other symbol prints as the rounds of an odd-even transposition sort of
+    its flattening, joined by ``.``: a round compares the adjacent pairs
+    starting at even positions, or at odd ones, alternately, and prints as
+    the tensor of ``c(x,y)`` for each pair it swaps and ``id(run)`` for
+    each run of letters it leaves in place.  Rounds that swap nothing are
+    skipped.  N letters sort in at most N rounds, so the text has O(N²)
+    characters.  Every block is one letter, so the rounds compose and the
+    text reparses to an equal symbol.
     """
     flat = rho.flatten()
-    if flat == tuple(range(len(flat))) and all(len(b) <= 1 for b in rho.blocks):
+    n = len(flat)
+    goal = list(range(n))
+    if flat == tuple(goal) and all(len(b) <= 1 for b in rho.blocks):
         return f"id({rho.dom})"
     if len(rho.blocks) == 2 and rho.pi == (1, 0):
         return f"c({rho.blocks[0]},{rho.blocks[1]})"
-    if flat == tuple(range(len(flat))):
+    if flat == tuple(goal):
         return f"id({rho.dom})"
     factors = []
-    letters = list(rho.dom.word)
-    slots = list(range(len(flat)))  # slots[j] = source position currently at j
-    target = [0] * len(flat)
-    for src, dst in enumerate(flat):
-        target[dst] = src
-    # bubble the current arrangement into the target one
-    for j in range(len(flat)):
-        k = slots.index(target[j])
-        while k > j:
-            word = [letters[s] for s in slots]
-            parts = []
-            if k - 1 > 0:
-                parts.append(f"id({Obj(tuple(word[: k - 1]))})")
-            parts.append(f"c({word[k - 1].name},{word[k].name})")
-            if k + 1 < len(word):
-                parts.append(f"id({Obj(tuple(word[k + 1 :]))})")
-            joined = "#".join(parts)
-            factors.append(f"({joined})" if len(parts) > 1 else joined)
-            slots[k - 1], slots[k] = slots[k], slots[k - 1]
-            k -= 1
+    letters = [s.name for s in rho.dom]
+    key = list(flat)  # key[j] = target position of the letter now at j
+    parity = 0
+    while key != goal:
+        swaps = [j for j in range(parity, n - 1, 2) if key[j] > key[j + 1]]
+        parity ^= 1
+        if not swaps:
+            continue
+        parts = []
+        done = 0  # letters before this position are printed
+        for j in swaps:
+            if j > done:
+                parts.append(f"id({''.join(letters[done:j])})")
+            parts.append(f"c({letters[j]},{letters[j + 1]})")
+            key[j], key[j + 1] = key[j + 1], key[j]
+            letters[j], letters[j + 1] = letters[j + 1], letters[j]
+            done = j + 2
+        if done < n:
+            parts.append(f"id({''.join(letters[done:])})")
+        joined = "#".join(parts)
+        factors.append(f"({joined})" if len(parts) > 1 else joined)
     return " . ".join(factors)
 
 

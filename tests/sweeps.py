@@ -1,6 +1,6 @@
 """Enumeration helpers for the acceptance sweeps: small connected
 port graphs, switch machines over them, random machines and random
-multi-sorted port graphs."""
+multi-sorted port graphs; tapes of cells and vertex-shuffled copies."""
 
 import itertools
 import random
@@ -196,3 +196,28 @@ def random_port_graph(rng: random.Random, ranks, iface_sorts, loop_sorts=()) -> 
         rng.shuffle(group)
         edges += [{group[i], group[i + 1]} for i in range(0, len(group), 2)]
     return SigmaGraph(vertices, edges)
+
+
+def tape_graph(n):
+    """``n`` cells ``cell : AA`` in a row; the left end is interface 1,
+    the right end interface 2."""
+    a = Obj.parse("A")
+    cell = SymbolLabel("cell", a + a)
+    vertices = {i: cell for i in range(n)}
+    vertices[n] = InterfaceLabel(1, a[0])
+    vertices[n + 1] = InterfaceLabel(2, a[0])
+    edges = [{(n, 0), (0, 0)}, {(n - 1, 1), (n + 1, 0)}]
+    edges += [{(i, 1), (i + 1, 0)} for i in range(n - 1)]
+    return SigmaGraph(vertices, edges)
+
+
+def shuffled(g, rng):
+    """The same graph with its vertex ids permuted."""
+    ids = sorted(g.vertices)
+    image = ids[:]
+    rng.shuffle(image)
+    move = dict(zip(ids, image))
+    return SigmaGraph(
+        {move[v]: lab for v, lab in g.vertices.items()},
+        [{(move[a], i), (move[b], j)} for e in g.edges for (a, i), (b, j) in [sorted(e)]],
+    )

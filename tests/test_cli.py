@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 
 from ima import dflow, term as tm
 from ima.cli import load_machine, main
+from ima.graph import decompose
+from sweeps import shuffled, tape_graph
 
 
 def run(capsys, *argv):
@@ -53,6 +56,20 @@ def test_flat_sum_of_many_summands(term_file, capsys):
     code, out, err = run(capsys, "normalize", f)
     assert code == 0 and not err
     assert out.startswith("graph AA")
+
+
+def test_parse_and_eq_of_a_large_term(term_file, capsys):
+    g = tape_graph(250)
+    text = tm.format_term(decompose(g))
+    f = term_file("tape.term", "sig cell AA\n" + text + "\n")
+    code, out, err = run(capsys, "parse", f)
+    assert code == 0 and not err
+    assert out == text + "\n"
+    other = tm.format_term(decompose(shuffled(g, random.Random(3))))
+    assert other != text
+    code, out, _ = run(capsys, "eq", f, term_file("shuffled.term", "sig cell AA\n" + other + "\n"))
+    assert code == 0
+    assert out == "equal\n"
 
 
 def test_normalize_loop_vertex_dot(term_file, capsys):

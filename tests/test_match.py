@@ -19,6 +19,7 @@ from ima.graph import (
     label_ports,
     sum_graphs,
 )
+from sweeps import shuffled
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -61,17 +62,6 @@ def random_graph(rng: random.Random) -> SigmaGraph:
     for h in parts[1:]:
         g = sum_graphs(g, h)
     return g
-
-
-def shuffled(g: SigmaGraph, rng: random.Random) -> SigmaGraph:
-    ids = sorted(g.vertices)
-    image = ids[:]
-    rng.shuffle(image)
-    move = dict(zip(ids, image))
-    return SigmaGraph(
-        {move[v]: lab for v, lab in g.vertices.items()},
-        [{(move[a], i), (move[b], j)} for e in g.edges for (a, i), (b, j) in [sorted(e)]],
-    )
 
 
 def edge_swapped(g: SigmaGraph, rng: random.Random) -> SigmaGraph | None:

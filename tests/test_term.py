@@ -1,10 +1,14 @@
+import random
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ima import term as tm
+from ima import dflow, term as tm
 from ima.errors import MissingSymbol, ParseError, RankError
-from ima.graph import RankedAlphabet,atom, identity_graph, isomorphic, sum_graphs
-from ima.perm import Obj, block_transposition, identity, tensor
+from ima.graph import RankedAlphabet,atom, decompose, identity_graph, isomorphic, sum_graphs
+from ima.perm import Obj, block_transposition, from_positions, identity, tensor
+from sweeps import tape_graph
 
 A = Obj.parse("A")
 B = Obj.parse("B")
@@ -248,3 +252,117 @@ def test_format_perm_round_trips_large_flattenings():
         rho = from_positions(w, tuple(sends))
         t = tm.Index(tm.Id(w), rho)
         assert tm.parse(tm.format_term(t)) == t
+
+
+# -- printing large terms and symbols --------------------------------------------------
+
+def test_printed_tape_grows_quadratically():
+    # odd-even rounds print O(N²) text for N letters
+    sizes = {n: len(tm.format_term(decompose(tape_graph(n)))) for n in (40, 80)}
+    assert sizes[80] <= 4.5 * sizes[40]
+
+
+def test_format_perm_prints_sorting_rounds():
+    rng = random.Random(7)
+    sorts = Obj.parse("AB").word
+    for n in (50, 100, 200, 300):
+        w = Obj(tuple(rng.choice(sorts) for _ in range(n)))
+        sends = list(range(n))
+        rng.shuffle(sends)
+        if n == 300:
+            sends.sort(reverse=True)  # the worst case: every pair is inverted
+        rho = from_positions(w, sends)
+        text = tm.format_perm(rho)
+        back = tm.parse(f"id({w}) . {text}").rho
+        assert back == rho
+        factors = text.split(" . ")
+        assert len(factors) <= n
+        for factor in factors:
+            assert all(len(b) == 1 for b in tm._parse_perm(tm._Tokens(factor)).blocks)
+        assert tm.format_perm(back) == text
+
+
+# -- equality and hashing of deep terms ------------------------------------------------
+
+def rebuild(t, leaf):
+    """A fresh copy of ``t`` with each leaf replaced by ``leaf(leaf_node)``."""
+
+    def visit(node, values):
+        if isinstance(node, tm.Sum):
+            return reduce(tm.Sum, values)
+        if isinstance(node, tm.Trace):
+            return tm.Trace(node.w, values[0])
+        if isinstance(node, tm.Index):
+            return tm.Index(values[0], node.rho)
+        return leaf(node)
+
+    return tm.fold(t, visit)
+
+
+def test_deep_terms_compare_and_hash_without_recursion():
+    m = dflow.tm_encode(dflow.unary_increment_tm(), 400)
+    ranks = tm.Interpretation(dflow.DFlowAlgebra(m.data), m.omega).ranks()
+    t = tm.trace_early(decompose(m.graph), ranks)
+    same = rebuild(t, lambda u: u)
+    assert same is not t and same == t and hash(same) == hash(t)
+    leaves = []
+
+    def rename_first(u):
+        leaves.append(u)
+        return tm.Atom("other") if len(leaves) == 1 else u
+
+    other = rebuild(t, rename_first)
+    assert isinstance(leaves[0], tm.Atom)  # the first summand, deepest in the term
+    assert other != t and t != other
+    assert len({t, same, other}) == 2
+
+
+# -- tokeniser -------------------------------------------------------------------------
+
+def char_loop_tokens(text):
+    """The character-by-character tokeniser that the regex replaced, kept
+    as the reference for token lists and error positions."""
+    items = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line, col = line + 1, 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch in ("(", ")", "[", "]", ";", ",", "+", ".", "#"):
+            items.append(("punct", ch, line, col))
+            col += 1
+            i += 1
+        elif ch.isalnum() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            items.append(("name", text[i:j], line, col))
+            col += j - i
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    items.append(("eof", "", line, col))
+    return items
+
+
+TOKEN_PIECES = list("()[];,+.#") + list("ABcé٣²_9") + [" ", "\t", "\r", "\n", "\x0b", "@"]
+TOKEN_PIECES += ["atom", "id", "tr", "comp", "ten"]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=40).map("".join))
+def test_tokeniser_matches_character_loop(text):
+    try:
+        want = char_loop_tokens(text)
+    except ParseError as expected:
+        with pytest.raises(ParseError) as err:
+            tm._Tokens(text)
+        got = err.value
+        assert (str(got), got.line, got.column) == (str(expected), expected.line, expected.column)
+    else:
+        assert tm._Tokens(text).items == want

@@ -18,8 +18,9 @@ states and transition quadruples [q, x, q2, y] where x and y are "*" or
 a 1-based position.  A data-flow automaton, the only kind ``omega``
 accepts, also has ``data``; its interface is the port word and x and y
 are "*" or a [datum, port] pair.  Tuple states are written as lists and
-read back as tuples.  All outputs are deterministic: collections are
-sorted before printing.
+read back as tuples.  State files (``simulate --state``) map vertex ids
+to local states, also with lists read as tuples.  All outputs are
+deterministic: collections are sorted before printing.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def load_machine(path: str) -> GraphMachine:
 
 def _load_state(path: str) -> dict[int, object]:
     doc = json.loads(Path(path).read_text())
-    return {int(k): v for k, v in doc.items()}
+    return {int(k): dflow._from_json(v) for k, v in doc.items()}
 
 
 def _endpoint(text: str):

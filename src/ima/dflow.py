@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 from . import graph as gr
 from . import term as tm
@@ -263,6 +265,12 @@ class GraphMachine:
     def local(self, vid: int) -> DFlowAutomaton:
         return self.omega[self.graph.vertices[vid].name]
 
+    @cached_property
+    def step_index(self) -> "StepIndex":
+        """The local deltas and edge ends :func:`step` looks up, built on
+        first use."""
+        return StepIndex(self)
+
 
 def evaluate(m: GraphMachine) -> DFlowAutomaton:
     """The machine as one automaton over D x (rank of the graph): the star
@@ -311,12 +319,12 @@ def pack_state(m: GraphMachine, local: Mapping[int, object]):
 # -- operational semantics ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """Control at an external interface (with a datum), at an internal
-    port about to enter its vertex (with a datum), or at the anchor."""
+    port about to enter its vertex (with a datum), or at the anchor.  A
+    named tuple, so hashing and comparing run in C."""
 
-    local: tuple  # sorted (vertex id, state) pairs
+    local: tuple  # (vertex id, state) pairs, one per internal vertex, sorted
     locus: tuple  # ("iface", serial) | ("port", vid, port index) | ("anchor",)
     datum: object  # None exactly at the anchor
 
@@ -328,41 +336,78 @@ class Config:
         return dict(self.local)
 
 
-def _check_config(m: GraphMachine, c: Config):
-    local = c.local_map()
-    if set(local) != set(m.graph.internal_vertices()):
+_AT_ANCHOR = ("anchor",)
+_vertex = operator.itemgetter(0)
+
+
+def _index_delta(auto: DFlowAutomaton) -> dict:
+    """The local delta keyed by ``(state, entry)``, each key mapping to its
+    ``(next state, exit)`` pairs.  Entries and exits are the anchor or
+    ``(port index, datum)``, the port index 0-based.  A position of a
+    repeated datum is skipped as an entry: control arriving with that
+    datum enters at the datum's first position."""
+    k = len(auto.data)
+    table: dict = {}
+    for (q, x), (r, y) in auto.base.delta:
+        if x != ANCHOR:
+            port, d = decode_position(x, k)
+            if auto.data.index(auto.data[d]) != d:
+                continue
+            x = (port - 1, auto.data[d])
+        if y != ANCHOR:
+            port, d = decode_position(y, k)
+            y = (port - 1, auto.data[d])
+        table.setdefault((q, x), []).append((r, y))
+    return {key: tuple(moves) for key, moves in table.items()}
+
+
+class StepIndex:
+    """What :func:`step` reads of a machine, resolved once.  Slot ``i`` of
+    ``Config.local`` belongs to internal vertex ``vids[i]``, whose local
+    automaton has the states ``states[i]`` and the indexed delta
+    ``fires[i]``; ``across[i][p]`` is the locus across the edge at its
+    port ``p``, and ``inward[serial]`` the locus across an interface's
+    edge."""
+
+    __slots__ = ("vids", "slot", "states", "fires", "across", "inward")
+
+    def __init__(self, m: GraphMachine):
+        g = m.graph
+
+        def locus(port) -> tuple:
+            lab = g.vertices[port[0]]
+            if isinstance(lab, InterfaceLabel):
+                return ("iface", lab.serial)
+            return ("port", *port)
+
+        self.vids = tuple(g.internal_vertices())
+        self.slot = {vid: i for i, vid in enumerate(self.vids)}
+        self.states = tuple(m.local(vid).base.states for vid in self.vids)
+        tables = {name: _index_delta(m.omega[name])
+                  for name in {g.vertices[vid].name for vid in self.vids}}
+        self.fires = tuple(tables[g.vertices[vid].name] for vid in self.vids)
+        self.across = tuple(
+            tuple(locus(g.partner((vid, p))) for p in range(len(g.ports_of(vid))))
+            for vid in self.vids
+        )
+        self.inward = {
+            serial: locus(g.partner((vid, 0)))
+            for serial, vid in g.interface_vertices().items()
+        }
+
+
+def _check_local(ix: StepIndex, local: tuple):
+    """Raise unless ``local`` holds a known state for each internal vertex,
+    in vertex order."""
+    if tuple(map(_vertex, local)) != ix.vids:
         raise IllFormedConfig("local state map does not cover internal vertices")
-    for vid, q in local.items():
-        if q not in m.local(vid).base.states:
+    for (vid, q), states in zip(local, ix.states):
+        try:
+            known = q in states
+        except TypeError:  # an unhashable value is no state
+            known = False
+        if not known:
             raise IllFormedConfig(f"state {q!r} unknown at vertex {vid}")
-    kind = c.locus[0]
-    if kind == "anchor":
-        if c.datum is not None:
-            raise IllFormedConfig("datum at the anchor")
-    elif kind == "iface":
-        if c.datum not in m.data:
-            raise IllFormedConfig(f"datum {c.datum!r} not in machine data")
-        if c.locus[1] not in m.graph.interface_vertices():
-            raise IllFormedConfig(f"no interface {c.locus[1]}")
-    elif kind == "port":
-        if c.datum not in m.data:
-            raise IllFormedConfig(f"datum {c.datum!r} not in machine data")
-        _, vid, port = c.locus
-        if vid not in set(m.graph.internal_vertices()):
-            raise IllFormedConfig(f"vertex {vid} is not internal")
-        if not 0 <= port < len(m.graph.ports_of(vid)):
-            raise IllFormedConfig(f"vertex {vid} has no port {port}")
-    else:
-        raise IllFormedConfig(f"unknown locus {c.locus!r}")
-
-
-def _cross(m: GraphMachine, local: Mapping[int, object], port, datum) -> Config:
-    """Carry a datum across the edge leaving ``port``."""
-    other = m.graph.partner(port)
-    lab = m.graph.vertices[other[0]]
-    if isinstance(lab, InterfaceLabel):
-        return Config.make(local, ("iface", lab.serial), datum)
-    return Config.make(local, ("port", other[0], other[1]), datum)
 
 
 def step(m: GraphMachine, c: Config) -> set[Config]:
@@ -371,46 +416,70 @@ def step(m: GraphMachine, c: Config) -> set[Config]:
     At an interface the datum just crosses the interface edge inward; at a
     port the vertex fires one local transition and the output crosses the
     corresponding edge (or moves to the anchor); at the anchor any vertex
-    may fire one of its anchor transitions.
+    may fire one of its anchor transitions.  Each is a lookup in
+    ``m.step_index``; ``c.local`` must be sorted as ``Config.make`` sorts
+    it, and a malformed ``c`` raises :class:`IllFormedConfig`.
     """
-    _check_config(m, c)
-    local = c.local_map()
-    out: set[Config] = set()
+    ix = m.step_index
+    local = c.local
+    _check_local(ix, local)
     kind = c.locus[0]
+    out: set[Config] = set()
+    if kind == "anchor":
+        if c.datum is not None:
+            raise IllFormedConfig("datum at the anchor")
+        for i, (_, q) in enumerate(local):
+            _successors(ix, local, i, (q, ANCHOR), out)
+        return out
+    if kind not in ("iface", "port"):
+        raise IllFormedConfig(f"unknown locus {c.locus!r}")
+    if c.datum not in m.data:
+        raise IllFormedConfig(f"datum {c.datum!r} not in machine data")
     if kind == "iface":
-        vid = m.graph.interface_vertices()[c.locus[1]]
-        out.add(_cross(m, local, (vid, 0), c.datum))
+        inward = ix.inward.get(c.locus[1])
+        if inward is None:
+            raise IllFormedConfig(f"no interface {c.locus[1]}")
+        out.add(Config(local, inward, c.datum))
         return out
-    if kind == "port":
-        _, vid, port = c.locus
-        auto = m.local(vid)
-        _fire(m, local, vid, auto, auto.position(port + 1, c.datum), out)
-        return out
-    # anchor: any vertex may fire an anchor-entry transition
-    for vid in m.graph.internal_vertices():
-        _fire(m, local, vid, m.local(vid), ANCHOR, out)
+    _, vid, port = c.locus
+    i = ix.slot.get(vid)
+    if i is None:
+        raise IllFormedConfig(f"vertex {vid} is not internal")
+    if not 0 <= port < len(ix.across[i]):
+        raise IllFormedConfig(f"vertex {vid} has no port {port}")
+    _successors(ix, local, i, (local[i][1], (port, c.datum)), out)
     return out
 
 
-def _fire(
-    m: GraphMachine, local: dict, vid: int, auto: DFlowAutomaton, entry, out: set[Config]
-):
-    """Add to ``out`` every configuration reached by vertex ``vid``, whose
-    automaton is ``auto``, firing a local transition entering at ``entry``."""
-    for (q, x), (r, y) in auto.base.delta:
-        if q != local[vid] or x != entry:
-            continue
-        nxt = dict(local)
-        nxt[vid] = r
-        if y == ANCHOR:
-            out.add(Config.make(nxt, ("anchor",), None))
+def _successors(ix: StepIndex, local: tuple, i: int, key, out: set[Config]):
+    """Add to ``out`` every configuration reached by the vertex in slot
+    ``i`` firing a local transition at ``key``: its new state replaces
+    slot ``i`` and its output crosses the edge at the exit port."""
+    moves = ix.fires[i].get(key)
+    if not moves:
+        return
+    vid = local[i][0]
+    head, tail = local[:i], local[i + 1 :]
+    loci = ix.across[i]
+    for r, exit in moves:
+        nxt = head + ((vid, r),) + tail
+        if exit == ANCHOR:
+            out.add(Config(nxt, _AT_ANCHOR, None))
         else:
-            out_port, d_idx = decode_position(y, len(auto.data))
-            out.add(_cross(m, nxt, (vid, out_port - 1), auto.data[d_idx]))
+            out.add(Config(nxt, loci[exit[0]], exit[1]))
 
 
 def _is_terminal(c: Config) -> bool:
     return c.locus[0] in ("iface", "anchor")
+
+
+def _target_locus(m: GraphMachine, to) -> tuple:
+    """The locus at which walks to endpoint ``to`` end."""
+    if to == ANCHOR:
+        return _AT_ANCHOR
+    if to not in m.graph.interface_vertices():
+        raise IllFormedConfig(f"no interface {to}")
+    return ("iface", to)
 
 
 def enumerate_walks(
@@ -423,8 +492,8 @@ def enumerate_walks(
     """All complete walks of at most ``max_steps`` steps from endpoint
     ``frm`` to endpoint ``to``, as full configuration sequences.  Walks may
     revisit configurations; the bound keeps the listing finite."""
+    target = _target_locus(m, to)
     starts = _start_configs(m, start_local, frm)
-    target = ("anchor",) if to == ANCHOR else ("iface", to)
     out: set[tuple[Config, ...]] = set()
     stack = [(c, (c,)) for c in starts]
     while stack:
@@ -440,10 +509,22 @@ def enumerate_walks(
     return out
 
 
-def _encode_endpoint(m: GraphMachine, c: Config):
-    if c.locus[0] == "anchor":
-        return ANCHOR
-    return position_of(c.locus[1], m.data.index(c.datum), len(m.data))
+def _endpoint_packer(m: GraphMachine):
+    """Maps a start or terminal configuration to its end of a transition
+    of ``evaluate(m)``: the packed global state and the base position (or
+    the anchor).  Each distinct ``Config.local`` is packed once."""
+    pack = state_packer(m)
+    packed: dict[tuple, object] = {}
+
+    def end(c: Config) -> tuple:
+        local = c.local
+        if local not in packed:
+            packed[local] = pack(dict(local))
+        if c.locus[0] == "anchor":
+            return packed[local], ANCHOR
+        return packed[local], position_of(c.locus[1], m.data.index(c.datum), len(m.data))
+
+    return end
 
 
 def _reachable_exits(m: GraphMachine, start: Config, stepper) -> set[Config]:
@@ -467,7 +548,7 @@ def _reachable_exits(m: GraphMachine, start: Config, stepper) -> set[Config]:
 
 def _start_configs(m: GraphMachine, local: Mapping[int, object], frm) -> list[Config]:
     if frm == ANCHOR:
-        return [Config.make(local, ("anchor",), None)]
+        return [Config.make(local, _AT_ANCHOR, None)]
     return [Config.make(local, ("iface", frm), d) for d in m.data]
 
 
@@ -484,20 +565,13 @@ def walks(
     positions of the machine automaton (or the anchor).  A walk is a
     nonempty chain of steps ending at a terminal locus.
     """
-    pack = state_packer(m)
+    target = _target_locus(m, to)
+    end = _endpoint_packer(m)
     out = set()
     for s0 in _start_configs(m, start_local, frm):
         for c2 in _reachable_exits(m, s0, lambda c: step(m, c)):
-            if to == ANCHOR and c2.locus != ("anchor",):
-                continue
-            if to != ANCHOR and c2.locus != ("iface", to):
-                continue
-            out.add(
-                (
-                    (pack(s0.local_map()), _encode_endpoint(m, s0)),
-                    (pack(c2.local_map()), _encode_endpoint(m, c2)),
-                )
-            )
+            if c2.locus == target:
+                out.add((end(s0), end(c2)))
     return out
 
 
@@ -508,22 +582,18 @@ def walk_closure(m: GraphMachine) -> frozenset:
     cache: dict[Config, set[Config]] = {}
 
     def stepper(c: Config) -> set[Config]:
-        if c not in cache:
-            cache[c] = step(m, c)
-        return cache[c]
+        out = cache.get(c)
+        if out is None:
+            out = cache[c] = step(m, c)
+        return out
 
-    pack = state_packer(m)
+    end = _endpoint_packer(m)
     out = set()
     for local in machine_states(m):
         for frm in endpoints:
             for s0 in _start_configs(m, local, frm):
-                for c2 in _reachable_exits(m, s0, stepper):
-                    out.add(
-                        (
-                            (pack(s0.local_map()), _encode_endpoint(m, s0)),
-                            (pack(c2.local_map()), _encode_endpoint(m, c2)),
-                        )
-                    )
+                start = end(s0)
+                out.update((start, end(c2)) for c2 in _reachable_exits(m, s0, stepper))
     return frozenset(out)
 
 

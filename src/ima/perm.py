@@ -13,7 +13,6 @@ checks and for building the two readings of a grouped symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator, Sequence
 
 from .errors import NotComposable
@@ -77,7 +76,8 @@ UNIT = Obj()
 
 
 def concat(objs: Sequence[Obj]) -> Obj:
-    return reduce(lambda a, b: a + b, objs, UNIT)
+    """The words one after another, built as one tuple."""
+    return Obj(tuple(s for o in objs for s in o.word))
 
 
 @dataclass(frozen=True, eq=False)

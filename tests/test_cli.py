@@ -135,7 +135,10 @@ def test_eval_machine(machine_files, capsys):
     assert [1, [1, 1], 2, [0, 2]] in doc["transitions"]
 
 
-def test_eval_machine_output_reloads_as_omega_file(machine_files, capsys):
+def write_chain_omega(machine_files, capsys) -> str:
+    """``eval --machine`` of a chain of two switches, written to
+    ``chain.auto.json``: an automaton with tuple states.  Returns the
+    printed text."""
     (machine_files / "chain.graph").write_text(
         "graph 11\n"
         "vertex 0 sym:c2\n"
@@ -154,6 +157,11 @@ def test_eval_machine_output_reloads_as_omega_file(machine_files, capsys):
     (machine_files / "chain.auto.json").write_text(out)
     outer = {"graph": "path.graph", "data": [0, 1], "omega": {"c2": "chain.auto.json"}}
     (machine_files / "outer.json").write_text(json.dumps(outer))
+    return out
+
+
+def test_eval_machine_output_reloads_as_omega_file(machine_files, capsys):
+    out = write_chain_omega(machine_files, capsys)
     expected = dflow.evaluate(load_machine(str(machine_files / "chain.json")))
     assert load_machine(str(machine_files / "outer.json")).omega["c2"] == expected
     code, again, _ = run(capsys, "eval", "--automaton", str(machine_files / "chain.auto.json"))
@@ -254,6 +262,34 @@ def test_simulate_deterministic(machine_files, capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def simulate(capsys, machine_files, machine, state, frm, to):
+    (machine_files / "state.json").write_text(json.dumps(state))
+    return run(capsys, "simulate", "--machine", str(machine_files / machine),
+               "--state", str(machine_files / "state.json"), "--from", frm, "--to", to)
+
+
+def test_simulate_reads_list_states_as_tuples(machine_files, capsys):
+    """The outer machine's vertex runs an ``eval --machine`` output, whose
+    states are pairs; a state file writes them as lists."""
+    write_chain_omega(machine_files, capsys)
+    code, out, err = simulate(capsys, machine_files, "outer.json", {"0": [1, 2]}, "1", "2")
+    assert (code, err) == (0, "")
+    assert out == "(1, 2) @2 -> (2, 1) @4\n"
+
+
+def test_simulate_rejects_unknown_state(machine_files, capsys):
+    code, _, err = simulate(capsys, machine_files, "m.json", {"0": {"a": 1}}, "1", "2")
+    assert code == 2
+    assert err == "error: state {'a': 1} unknown at vertex 0\n"
+
+
+@pytest.mark.parametrize("frm, to", [("7", "1"), ("1", "7"), ("*", "7")])
+def test_simulate_rejects_unknown_interface(machine_files, capsys, frm, to):
+    code, out, err = simulate(capsys, machine_files, "m.json", {"0": 1}, frm, to)
+    assert (code, out) == (2, "")
+    assert err == "error: no interface 7\n"
 
 
 @pytest.fixture

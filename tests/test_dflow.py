@@ -40,7 +40,7 @@ from ima.graph import (
     SymbolLabel,
 )
 from ima.perm import Obj
-from sweeps import random_machine, random_port_graph, switch_machine
+from sweeps import connected_port_graphs, random_machine, random_port_graph, switch_machine
 
 
 S = DEFAULT_SORT
@@ -182,6 +182,181 @@ def test_step_rejects_bad_config():
         step(m, Config.make({0: 1}, ("iface", 7), 0))
     with pytest.raises(IllFormedConfig):
         step(m, Config.make({0: 1}, ("anchor",), 0))
+
+
+# -- indexed step against the scanning step ------------------------------------------
+#
+# The scanning step that the indexed one replaced, kept only as a reference:
+# it re-checks the configuration through dicts and sets and scans the
+# vertex's whole local delta on every call.
+
+
+def scanning_check_config(m: GraphMachine, c: Config):
+    local = c.local_map()
+    if set(local) != set(m.graph.internal_vertices()):
+        raise IllFormedConfig("local state map does not cover internal vertices")
+    for vid, q in local.items():
+        if q not in m.local(vid).base.states:
+            raise IllFormedConfig(f"state {q!r} unknown at vertex {vid}")
+    kind = c.locus[0]
+    if kind == "anchor":
+        if c.datum is not None:
+            raise IllFormedConfig("datum at the anchor")
+    elif kind == "iface":
+        if c.datum not in m.data:
+            raise IllFormedConfig(f"datum {c.datum!r} not in machine data")
+        if c.locus[1] not in m.graph.interface_vertices():
+            raise IllFormedConfig(f"no interface {c.locus[1]}")
+    elif kind == "port":
+        if c.datum not in m.data:
+            raise IllFormedConfig(f"datum {c.datum!r} not in machine data")
+        _, vid, port = c.locus
+        if vid not in set(m.graph.internal_vertices()):
+            raise IllFormedConfig(f"vertex {vid} is not internal")
+        if not 0 <= port < len(m.graph.ports_of(vid)):
+            raise IllFormedConfig(f"vertex {vid} has no port {port}")
+    else:
+        raise IllFormedConfig(f"unknown locus {c.locus!r}")
+
+
+def scanning_cross(m: GraphMachine, local, port, datum) -> Config:
+    other = m.graph.partner(port)
+    lab = m.graph.vertices[other[0]]
+    if isinstance(lab, InterfaceLabel):
+        return Config.make(local, ("iface", lab.serial), datum)
+    return Config.make(local, ("port", other[0], other[1]), datum)
+
+
+def scanning_step(m: GraphMachine, c: Config) -> set[Config]:
+    scanning_check_config(m, c)
+    local = c.local_map()
+    out: set[Config] = set()
+    kind = c.locus[0]
+    if kind == "iface":
+        vid = m.graph.interface_vertices()[c.locus[1]]
+        out.add(scanning_cross(m, local, (vid, 0), c.datum))
+        return out
+    if kind == "port":
+        _, vid, port = c.locus
+        auto = m.local(vid)
+        scanning_fire(m, local, vid, auto, auto.position(port + 1, c.datum), out)
+        return out
+    for vid in m.graph.internal_vertices():
+        scanning_fire(m, local, vid, m.local(vid), ANCHOR, out)
+    return out
+
+
+def scanning_fire(m: GraphMachine, local, vid, auto: DFlowAutomaton, entry, out):
+    for (q, x), (r, y) in auto.base.delta:
+        if q != local[vid] or x != entry:
+            continue
+        nxt = dict(local)
+        nxt[vid] = r
+        if y == ANCHOR:
+            out.add(Config.make(nxt, ("anchor",), None))
+        else:
+            out_port, d_idx = decode_position(y, len(auto.data))
+            out.add(scanning_cross(m, nxt, (vid, out_port - 1), auto.data[d_idx]))
+
+
+def differential_machines() -> list[GraphMachine]:
+    """Random machines, switch machines on small connected port graphs and
+    on graphs with wires and loop vertices, and random Turing machines."""
+    rng = random.Random(20261019)
+    machines = [random_machine(rng) for _ in range(40)]
+    machines += [
+        switch_machine(g, alternating)
+        for g in connected_port_graphs(max_internal=3, max_iface=2, max_degree=3)
+        for alternating in (False, True)
+    ]
+    for degrees in ([2], [3, 1], [2, 2], [3, 2, 1]):
+        machines.append(switch_machine(switch_graph(rng, degrees), rng.random() < 0.5))
+    machines += [tm_encode(random_tm_spec(rng), rng.randint(1, 4)) for _ in range(8)]
+    return machines
+
+
+def all_configs(m: GraphMachine):
+    """Every well-formed configuration of ``m``."""
+    g = m.graph
+    loci = [(("anchor",), None)]
+    loci += [(("iface", serial), d) for serial in g.interface_vertices() for d in m.data]
+    loci += [
+        (("port", vid, port), d)
+        for vid in g.internal_vertices()
+        for port in range(len(g.ports_of(vid)))
+        for d in m.data
+    ]
+    for local in machine_states(m):
+        for locus, datum in loci:
+            yield Config.make(local, locus, datum)
+
+
+def malformed_configs(m: GraphMachine):
+    """Configurations breaking each well-formedness rule in turn."""
+    g = m.graph
+    good = machine_states(m)[0]
+    internal = g.internal_vertices()
+    d = m.data[0]
+    yield Config.make(good, ("anchor",), d)
+    yield Config.make(good, ("iface", len(g.interface_vertices()) + 1), d)
+    yield Config.make(good, ("iface", 1), "no datum")
+    yield Config.make(good, ("port", max(g.vertices, default=0) + 1, 0), d)
+    yield Config.make(good, ("nowhere",), d)
+    yield Config.make({**good, max(g.vertices, default=0) + 1: 1}, ("anchor",), None)
+    if internal:
+        vid = internal[0]
+        yield Config.make({**good, vid: "no such state"}, ("anchor",), None)
+        yield Config.make({v: q for v, q in good.items() if v != vid}, ("anchor",), None)
+        yield Config.make(good, ("port", vid, len(g.ports_of(vid))), d)
+        yield Config.make(good, ("port", vid, -1), d)
+        yield Config.make(good, ("port", vid, 0), "no datum")
+    for vid, lab in g.vertices.items():
+        if not isinstance(lab, SymbolLabel):
+            yield Config.make(good, ("port", vid, 0), d)
+
+
+def raised(stepper, m, c) -> str:
+    with pytest.raises(IllFormedConfig) as err:
+        stepper(m, c)
+    return str(err.value)
+
+
+def assert_same_steps(m: GraphMachine) -> int:
+    """``step`` and ``scanning_step`` agree on every configuration of ``m``
+    and raise the same message on malformed ones; returns how many
+    well-formed configurations there were."""
+    configs = 0
+    for c in all_configs(m):
+        assert step(m, c) == scanning_step(m, c), c
+        configs += 1
+    for c in malformed_configs(m):
+        assert raised(step, m, c) == raised(scanning_step, m, c), c
+    return configs
+
+
+def test_indexed_step_equals_scanning_step():
+    configs = 0
+    for m in differential_machines():
+        configs += assert_same_steps(m)
+        assert walk_closure(m) == evaluate(m).base.delta
+    assert configs > 20_000
+
+
+def test_indexed_step_with_a_repeated_datum():
+    """A datum that occurs twice in the data enters at its first position
+    only, under both steps."""
+    rng = random.Random(20261020)
+    word = Obj((S, S))
+    for _ in range(4):
+        base = laws.random_automaton(rng, expand_word(word, 2), density=5)
+        assert_same_steps(single_vertex_machine(DFlowAutomaton((0, 0), word, base)))
+
+
+def test_step_index_is_built_once():
+    m = path_machine(alternating_switch(2), 3)
+    index = m.step_index
+    walk_closure(m)
+    assert m.step_index is index
 
 
 # -- evaluate and the oracle ---------------------------------------------------------

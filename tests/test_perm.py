@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,3 +220,24 @@ def grouped(draw):
 def test_generator_pairs_are_flatten_equal(ga):
     groups, alpha = ga
     assert from_groups_fine(groups, alpha) == from_groups_coarse(groups, alpha)
+
+
+def test_symbol_hash_grows_linearly():
+    """``dom`` and ``cod`` concatenate the blocks into one tuple, so hashing
+    a symbol on 4x the letters takes about 4x as long; a pairwise fold of
+    ``Obj.__add__`` took about 15x."""
+    import time
+
+    def best_hash_time(n):
+        word = Obj(tuple(Sort("A") for _ in range(n)))
+        sends = list(range(n))
+        random.Random(n).shuffle(sends)
+        rho = from_positions(word, sends)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            hash(rho)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_hash_time(16_000) <= 8 * best_hash_time(4_000)

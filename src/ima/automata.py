@@ -155,9 +155,6 @@ class TuringAutomaton:
                 if z != ANCHOR and not (isinstance(z, int) and 1 <= z <= n):
                     raise ValueError(f"position {z!r} outside interface of size {n}")
 
-    def state_order(self) -> list:
-        return sorted(self.states, key=repr)
-
     def __repr__(self):
         return (
             f"<TuringAutomaton {self.iface} |Q|={len(self.states)} "
@@ -226,7 +223,7 @@ def trace_automaton(
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order {order} is not a permutation of 1..{n}")
 
-    states = t.state_order()
+    states = list(t.states)
     index = {q: i for i, q in enumerate(states)}
     size = len(states)
     total = len(t.iface)

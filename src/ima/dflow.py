@@ -68,6 +68,8 @@ class DFlowAutomaton:
     def __post_init__(self):
         if not self.data:
             raise ValueError("datum set must be nonempty")
+        if len(set(self.data)) != len(self.data):
+            raise ValueError(f"data {self.data!r} repeat a value")
         if len(self.base.iface) != len(self.data) * len(self.sort_word):
             raise ValueError(
                 f"base interface {self.base.iface} does not match "
@@ -343,16 +345,12 @@ _vertex = operator.itemgetter(0)
 def _index_delta(auto: DFlowAutomaton) -> dict:
     """The local delta keyed by ``(state, entry)``, each key mapping to its
     ``(next state, exit)`` pairs.  Entries and exits are the anchor or
-    ``(port index, datum)``, the port index 0-based.  A position of a
-    repeated datum is skipped as an entry: control arriving with that
-    datum enters at the datum's first position."""
+    ``(port index, datum)``, the port index 0-based."""
     k = len(auto.data)
     table: dict = {}
     for (q, x), (r, y) in auto.base.delta:
         if x != ANCHOR:
             port, d = decode_position(x, k)
-            if auto.data.index(auto.data[d]) != d:
-                continue
             x = (port - 1, auto.data[d])
         if y != ANCHOR:
             port, d = decode_position(y, k)

@@ -2,16 +2,21 @@
 another.
 
 Graph isomorphism and equality of automata up to a state bijection are
-both this question.  Colours are refined on the disjoint union of the two
-sides with one shared palette, in the manner of McKay & Piperno,
-"Practical graph isomorphism II" (2014); the search then backtracks over
-the refined classes, smallest class first.
+both this question.  The input colours are refined on the disjoint union
+of the two sides to the coarsest equitable partition: one in which any
+two nodes of a cell have the same multiset of (direction, label) edges
+into every cell.  Refinement pops splitter cells from a queue, visits
+only the nodes with an edge into the splitter, and re-queues every piece
+of a split cell but the largest (Hopcroft 1971; Paige & Tarjan, "Three
+partition refinement algorithms", 1987), as McKay & Piperno refine in
+"Practical graph isomorphism II" (2014).  Each node lies in O(log n)
+splitters, so refining m edges sets O(m log n) marks.  The search then
+backtracks over the refined classes, smallest class first.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Hashable, Iterable
+from typing import Collection, Hashable, Iterable
 
 Edge = tuple[Hashable, Hashable, Hashable]  # (source node, label, target node)
 
@@ -41,25 +46,10 @@ def find_bijection(
         inc[v].append((lab, u))
 
     palette: dict = {}
-    color = [palette.setdefault(c, len(palette))
-             for c in (*colors1.values(), *colors2.values())]
-    classes = 0
-    while True:
-        if Counter(color[:n1]) != Counter(color[n1:]):
-            return None
-        if len(palette) == classes:
-            break
-        classes = len(palette)
-        palette = {}
-        color = [
-            palette.setdefault(
-                (color[v],
-                 tuple(sorted((lab, color[w]) for lab, w in out[v])),
-                 tuple(sorted((lab, color[u]) for lab, u in inc[v]))),
-                len(palette),
-            )
-            for v in range(len(nodes))
-        ]
+    color = refine(n1, [palette.setdefault(c, len(palette))
+                        for c in (*colors1.values(), *colors2.values())], out, inc)
+    if color is None:
+        return None
 
     members: dict[int, list[int]] = {}
     for v in range(n1, len(nodes)):
@@ -102,3 +92,70 @@ def find_bijection(
             taken[image[order[k]]] = False
             image[order[k]] = None
     return {nodes[v]: nodes[image[v]] for v in range(n1)}
+
+
+def refine(n1: int, color: list[int], out: list[list], inc: list[list]) -> list[int] | None:
+    """The coarsest equitable partition that refines the colours
+    ``color`` (integers from 0) of the nodes ``0 .. len(color) - 1``, as
+    one cell number per node: any two nodes of a cell have the same
+    multiset of (direction, label) edges into every cell.  ``out[u]`` and
+    ``inc[u]`` list the ``(label, node)`` ends of the edges leaving and
+    entering ``u``, labels integers.  The nodes below ``n1`` are one side,
+    the others the other side; ``None`` when a cell holds unequal numbers
+    of nodes from the two sides."""
+    # A bijection maps every cell of the partition onto itself, so every
+    # cell must hold as many nodes of one side as of the other.
+    def balanced(cell: Collection[int]) -> bool:
+        return 2 * sum(v >= n1 for v in cell) == len(cell)
+
+    color = list(color)
+    cells: list[set[int]] = [set() for _ in range(max(color, default=-1) + 1)]
+    for v, c in enumerate(color):
+        cells[c].add(v)
+    if not all(map(balanced, cells)):
+        return None
+
+    # Each splitter S splits every cell by the multiset of (direction,
+    # label) marks its nodes' edges into S give them.  Only nodes with an
+    # edge into S are visited.  A piece need not be queued when its cell
+    # has already split the others and is not queued again: the marks into
+    # it are those into the cell less those into the other pieces.
+    queue = list(range(len(cells)))
+    queued = [True] * len(cells)
+    while queue:
+        s = queue.pop()
+        queued[s] = False
+        marks: dict[int, list[int]] = {}
+        for w in cells[s]:
+            for lab, u in inc[w]:
+                marks.setdefault(u, []).append(2 * lab)
+            for lab, v in out[w]:
+                marks.setdefault(v, []).append(2 * lab + 1)
+        groups: dict[int, dict[tuple, list[int]]] = {}
+        for u, m in marks.items():
+            m.sort()
+            groups.setdefault(color[u], {}).setdefault(tuple(m), []).append(u)
+        for c, by_marks in groups.items():
+            parts = list(by_marks.values())
+            if sum(map(len, parts)) == len(cells[c]):
+                if len(parts) == 1:
+                    continue
+                parts.remove(max(parts, key=len))
+            pieces = [c]
+            for part in parts:
+                if not balanced(part):
+                    return None
+                new = len(cells)
+                cells[c].difference_update(part)
+                cells.append(set(part))
+                queued.append(False)
+                for u in part:
+                    color[u] = new
+                pieces.append(new)
+            if not queued[c]:
+                pieces.remove(max(pieces, key=lambda p: len(cells[p])))
+            for p in pieces:
+                if not queued[p]:
+                    queue.append(p)
+                    queued[p] = True
+    return color

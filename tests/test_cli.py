@@ -209,6 +209,15 @@ def test_eval_malformed_automaton_file(tmp_path, capsys, doc):
     assert err.startswith("error: malformed automaton file")
 
 
+def test_eval_automaton_file_with_repeated_data(tmp_path, capsys):
+    doc = {"interface": "1", "data": [0, 0], "states": [0], "transitions": []}
+    f = tmp_path / "repeated.auto.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "eval", "--automaton", str(f))
+    assert code == 2
+    assert err.startswith("error: ") and "repeat" in err
+
+
 def test_simulate_transcript(machine_files, capsys):
     code, out, _ = run(
         capsys,

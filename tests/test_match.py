@@ -1,16 +1,20 @@
 """Differential tests of the bijection search behind ``graph.isomorphic``
 and ``automata.equivalent_automata`` against independent references:
-networkx VF2++ on port-labelled graphs, and a brute-force search over
-all state permutations."""
+networkx VF2++ on port-labelled graphs, a brute-force search over all
+state permutations, and the round-based colour refinement the splitter
+queue replaced."""
 
 import itertools
 import random
+import time
+from collections import Counter
+from unittest import mock
 
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from ima import laws
-from ima.automata import ANCHOR, TuringAutomaton, equivalent_automata
+from ima import laws, match
+from ima.automata import ANCHOR, TuringAutomaton, equivalent_automata, sum_automata
 from ima.graph import (
     InterfaceLabel,
     SigmaGraph,
@@ -19,7 +23,7 @@ from ima.graph import (
     label_ports,
     sum_graphs,
 )
-from sweeps import shuffled
+from sweeps import shuffled, tape_graph
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -144,3 +148,209 @@ def test_equivalent_automata_agrees_with_brute_force(seed):
     assert equivalent_automata(t, others[0])
     for u in others:
         assert equivalent_automata(t, u) == brute_force_equivalent(t, u)
+
+
+def round_based_find_bijection(colors1, edges1, colors2, edges2):
+    """The matcher before the splitter queue: every round recolours every
+    node by its colour and its edges' (label, colour) multisets, until the
+    number of colours stops growing."""
+    nodes = list(colors1) + list(colors2)
+    n1 = len(colors1)
+    index = [{v: k for k, v in enumerate(nodes[:n1])},
+             {v: n1 + k for k, v in enumerate(nodes[n1:])}]
+    labels: dict = {}
+    edges = [
+        {(index[side][u], labels.setdefault(lab, len(labels)), index[side][v])
+         for u, lab, v in es}
+        for side, es in ((0, edges1), (1, edges2))
+    ]
+    if n1 != len(colors2) or len(edges[0]) != len(edges[1]):
+        return None
+    out: list[list] = [[] for _ in nodes]
+    inc: list[list] = [[] for _ in nodes]
+    for u, lab, v in edges[0] | edges[1]:
+        out[u].append((lab, v))
+        inc[v].append((lab, u))
+
+    palette: dict = {}
+    color = [palette.setdefault(c, len(palette))
+             for c in (*colors1.values(), *colors2.values())]
+    classes = 0
+    while True:
+        if Counter(color[:n1]) != Counter(color[n1:]):
+            return None
+        if len(palette) == classes:
+            break
+        classes = len(palette)
+        palette = {}
+        color = [
+            palette.setdefault(
+                (color[v],
+                 tuple(sorted((lab, color[w]) for lab, w in out[v])),
+                 tuple(sorted((lab, color[u]) for lab, u in inc[v]))),
+                len(palette),
+            )
+            for v in range(len(nodes))
+        ]
+
+    members: dict[int, list[int]] = {}
+    for v in range(n1, len(nodes)):
+        members.setdefault(color[v], []).append(v)
+    order = sorted(range(n1), key=lambda v: (len(members[color[v]]), v))
+    image = [None] * len(nodes)
+    taken = [False] * len(nodes)
+
+    def fits(v: int, w: int) -> bool:
+        image[v] = w
+        ok = all(
+            (w, lab, image[x]) in edges[1] for lab, x in out[v] if image[x] is not None
+        ) and all(
+            (image[u], lab, w) in edges[1] for lab, u in inc[v] if image[u] is not None
+        )
+        image[v] = None
+        return ok
+
+    tries = [iter(members[color[order[0]]])] if order else []
+    k = 0
+    while k < n1:
+        v = order[k]
+        for w in tries[k]:
+            if not taken[w] and fits(v, w):
+                image[v], taken[w] = w, True
+                k += 1
+                if k < n1:
+                    tries.append(iter(members[color[order[k]]]))
+                break
+        else:
+            tries.pop()
+            k -= 1
+            if k < 0:
+                return None
+            taken[image[order[k]]] = False
+            image[order[k]] = None
+    return {nodes[v]: nodes[image[v]] for v in range(n1)}
+
+
+def checked_find_bijection(colors1, edges1, colors2, edges2):
+    """``find_bijection``, checked against the round-based matcher."""
+    edges1, edges2 = list(edges1), list(edges2)
+    got = match.find_bijection(colors1, edges1, colors2, edges2)
+    assert got == round_based_find_bijection(colors1, edges1, colors2, edges2)
+    return got
+
+
+def automaton_sum(rng: random.Random) -> TuringAutomaton:
+    """A sum of at most three random automata, one of them repeated, so
+    product states fall into classes of alike states.  The search does
+    not refine after each choice, so larger symmetric sums can take it
+    seconds."""
+    parts = [laws.random_automaton(rng, laws.random_obj(rng, 2), max_states=3,
+                                   density=rng.randint(0, 6))
+             for _ in range(rng.randint(1, 2))]
+    parts.append(parts[0])
+    t = parts[0]
+    for u in parts[1:]:
+        t = sum_automata(t, u)
+    return t
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_splitter_queue_equals_round_based(seed):
+    rng = random.Random(seed)
+    with mock.patch("ima.graph.find_bijection", wraps=checked_find_bijection) as in_graph, \
+            mock.patch("ima.automata.find_bijection", wraps=checked_find_bijection) as in_automata:
+        g = random_graph(rng)
+        swapped = edge_swapped(g, rng)
+        for h in (shuffled(g, rng), random_graph(rng), swapped and shuffled(swapped, rng)):
+            if h is not None:
+                isomorphic(g, h)
+        tape = tape_graph(rng.randint(1, 40))
+        isomorphic(tape, shuffled(tape, rng))
+        swapped = edge_swapped(tape, rng)
+        if swapped is not None:
+            isomorphic(tape, shuffled(swapped, rng))
+        t = automaton_sum(rng)
+        for u in (relabelled(t, rng), relabelled(one_transition_changed(t, rng), rng),
+                  automaton_sum(rng)):
+            equivalent_automata(t, u)
+    assert in_graph.called and in_automata.called
+
+
+def stable_colouring(color: list[int], out: list[list], inc: list[list]) -> list[int]:
+    """Colour refinement by rounds: each round recolours every node by its
+    colour and the (label, colour) multisets of its edges out and in,
+    until a round adds no colour."""
+    while True:
+        palette: dict = {}
+        new = [
+            palette.setdefault(
+                (color[v],
+                 tuple(sorted((lab, color[w]) for lab, w in out[v])),
+                 tuple(sorted((lab, color[u]) for lab, u in inc[v]))),
+                len(palette),
+            )
+            for v in range(len(color))
+        ]
+        if len(palette) == len(set(color)):
+            return new
+        color = new
+
+
+def cells_of(color: list[int]) -> set[frozenset]:
+    cells: dict = {}
+    for v, c in enumerate(color):
+        cells.setdefault(c, set()).add(v)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+def test_refine_gives_the_coarsest_equitable_partition():
+    # the search can still find the same bijection over a coarser, not
+    # equitable partition, so the partition itself is compared with the
+    # round-based stable colouring, which is the coarsest equitable one
+    kinds = Counter()
+    for seed in range(2000):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        labels = rng.randint(1, 2)
+        edges = {(rng.randrange(n), rng.randrange(labels), rng.randrange(n))
+                 for _ in range(rng.randint(0, 3 * n))}
+        image = list(range(n, 2 * n))
+        rng.shuffle(image)
+        copied = {(image[u], lab, image[v]) for u, lab, v in edges}
+        if copied and rng.random() < 0.3:
+            copied.remove(rng.choice(sorted(copied)))
+            copied.add((rng.randrange(n, 2 * n), rng.randrange(labels), rng.randrange(n, 2 * n)))
+        color = [rng.randrange(2) for _ in range(n)] + [0] * n
+        for v in range(n):
+            color[image[v]] = color[v]
+        out: list[list] = [[] for _ in color]
+        inc: list[list] = [[] for _ in color]
+        for u, lab, v in edges | copied:
+            out[u].append((lab, v))
+            inc[v].append((lab, u))
+        want = stable_colouring(color, out, inc)
+        balanced = all(2 * sum(v >= n for v in cell) == len(cell) for cell in cells_of(want))
+        got = match.refine(n, color, out, inc)
+        if balanced:
+            assert got is not None and cells_of(got) == cells_of(want), seed
+        else:
+            assert got is None, seed
+        kinds[balanced] += 1
+    assert min(kinds.values()) > 200
+
+
+def test_isomorphic_tape_scales_near_linearly():
+    # the round-based refinement needed about n/2 rounds on a path, so 4x
+    # the cells took about 16x the time
+    def best_of_3(n: int) -> float:
+        g = tape_graph(n)
+        h = shuffled(g, random.Random(n))
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert isomorphic(g, h)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    assert best_of_3(4000) <= 8 * best_of_3(1000)

@@ -4,6 +4,7 @@ networkx VF2++ on port-labelled graphs, a brute-force search over all
 state permutations, and the round-based colour refinement the splitter
 queue replaced."""
 
+import gc
 import itertools
 import random
 import time
@@ -242,9 +243,10 @@ def checked_find_bijection(colors1, edges1, colors2, edges2):
 def automaton_sum(rng: random.Random) -> TuringAutomaton:
     """A sum of at most three random automata, one of them repeated, so
     product states fall into classes of alike states.  The search does
-    not refine after each choice, so larger symmetric sums can take it
-    seconds."""
-    parts = [laws.random_automaton(rng, laws.random_obj(rng, 2), max_states=3,
+    not refine after each choice, so symmetric sums of three 3-state
+    automata (27 product states) can take either matcher tens of seconds;
+    at most 2 states a summand keeps every sum at 8 states or fewer."""
+    parts = [laws.random_automaton(rng, laws.random_obj(rng, 2), max_states=2,
                                    density=rng.randint(0, 6))
              for _ in range(rng.randint(1, 2))]
     parts.append(parts[0])
@@ -342,15 +344,19 @@ def test_refine_gives_the_coarsest_equitable_partition():
 
 def test_isomorphic_tape_scales_near_linearly():
     # the round-based refinement needed about n/2 rounds on a path, so 4x
-    # the cells took about 16x the time
-    def best_of_3(n: int) -> float:
-        g = tape_graph(n)
-        h = shuffled(g, random.Random(n))
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            assert isomorphic(g, h)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    assert best_of_3(4000) <= 8 * best_of_3(1000)
+    # the cells took about 16x the time.  The sizes are timed in turn, and
+    # with the garbage collector off as timeit does, so that a pause in
+    # the machine's load or a collection falls on one run, not one size.
+    pairs = {n: (tape_graph(n), shuffled(tape_graph(n), random.Random(n))) for n in (1000, 4000)}
+    best = dict.fromkeys(pairs, float("inf"))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(7):
+            for n, (g, h) in pairs.items():
+                start = time.perf_counter()
+                assert isomorphic(g, h)
+                best[n] = min(best[n], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert best[4000] <= 8 * best[1000]

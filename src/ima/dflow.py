@@ -17,7 +17,6 @@ at a time, carrying a datum across edges.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -215,7 +214,8 @@ def format_automaton(a: TuringAutomaton | DFlowAutomaton) -> str:
 def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
     """Read the JSON written by :func:`format_automaton`: a data-flow
     automaton when the document has ``data``, a plain one otherwise.
-    A document of the wrong shape raises ``ValueError``."""
+    A document of the wrong shape, with a key missing, or with a datum or
+    port outside its ``data`` or port word raises ``ValueError``."""
     doc = json.loads(text)
     try:
         word = Obj.parse(doc["interface"])
@@ -229,7 +229,15 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
             if not flow:
                 return int(x)
             d, port = x
-            return position_of(int(port), data.index(_from_json(d)), len(data))
+            d, port = _from_json(d), int(port)
+            if d not in data:
+                raise ValueError(f"malformed automaton file: datum {d!r} not in data {data!r}")
+            if not 1 <= port <= len(word):
+                raise ValueError(
+                    f"malformed automaton file: port {port} outside port word "
+                    f"{str(word)!r} of length {len(word)}"
+                )
+            return position_of(port, data.index(d), len(data))
 
         delta = frozenset(
             ((_from_json(q), pos(x)), (_from_json(r), pos(y)))
@@ -239,6 +247,8 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
         return DFlowAutomaton(data, word, base) if flow else base
     except TypeError as err:
         raise ValueError(f"malformed automaton file: {err}") from None
+    except KeyError as err:
+        raise ValueError(f"malformed automaton file: missing key {err}") from None
 
 
 # -- graph machines -----------------------------------------------------------
@@ -283,13 +293,6 @@ def evaluate(m: GraphMachine) -> DFlowAutomaton:
     frontier between summed and unsummed vertices, not over all of them."""
     interp = tm.Interpretation(DFlowAlgebra(m.data), m.omega)
     return tm.evaluate(tm.trace_early(gr.decompose(m.graph), interp.ranks()), interp)
-
-
-def machine_states(m: GraphMachine) -> list[dict[int, object]]:
-    """All assignments of local states to internal vertices."""
-    vids = m.graph.internal_vertices()
-    pools = [sorted(m.local(v).base.states, key=repr) for v in vids]
-    return [dict(zip(vids, combo)) for combo in itertools.product(*pools)]
 
 
 def state_packer(m: GraphMachine):
@@ -342,70 +345,123 @@ _AT_ANCHOR = ("anchor",)
 _vertex = operator.itemgetter(0)
 
 
-def _index_delta(auto: DFlowAutomaton) -> dict:
-    """The local delta keyed by ``(state, entry)``, each key mapping to its
-    ``(next state, exit)`` pairs.  Entries and exits are the anchor or
-    ``(port index, datum)``, the port index 0-based."""
-    k = len(auto.data)
-    table: dict = {}
-    for (q, x), (r, y) in auto.base.delta:
-        if x != ANCHOR:
-            port, d = decode_position(x, k)
-            x = (port - 1, auto.data[d])
-        if y != ANCHOR:
-            port, d = decode_position(y, k)
-            y = (port - 1, auto.data[d])
-        table.setdefault((q, x), []).append((r, y))
-    return {key: tuple(moves) for key, moves in table.items()}
-
-
 class StepIndex:
-    """What :func:`step` reads of a machine, resolved once.  Slot ``i`` of
-    ``Config.local`` belongs to internal vertex ``vids[i]``, whose local
-    automaton has the states ``states[i]`` and the indexed delta
-    ``fires[i]``; ``across[i][p]`` is the locus across the edge at its
-    port ``p``, and ``inward[serial]`` the locus across an interface's
-    edge."""
+    """The configuration graph of a machine compiled to integers, once.
 
-    __slots__ = ("vids", "slot", "states", "fires", "across", "inward")
+    Slot ``i`` of ``Config.local`` belongs to internal vertex ``vids[i]``,
+    whose local states ``states[i]`` are numbered by ``digits[i]``.  A
+    local-state assignment is the mixed-radix number ``sum(q_i * radix[i])``
+    of its state numbers, ``radix[i]`` being the product of the earlier
+    slots' state counts, and there are ``size`` of them.  Loci are
+    numbered as well: the anchor is 0, interface ``serial`` is ``serial``,
+    then come the ports of each slot in turn; ``loci`` lists the locus
+    tuples by number and ``locus_id`` numbers them.
+
+    A configuration is the int ``(locus * |D| + datum) * size + state``,
+    the datum index 0 at the anchor; ``ld`` below is its
+    ``locus * |D| + datum`` part.  The anchor and the interfaces have the
+    lowest locus numbers, so the terminal configurations are exactly
+    those below ``terminal``.  ``moves[ld]`` is a triple
+    ``(radix, count, by_digit)`` for the vertex control enters there: its
+    state number is ``state // radix % count``, and ``by_digit`` of it
+    lists what each successor adds to the configuration with the
+    ``state`` part taken off.  ``anchor`` holds the same triple for every
+    slot's anchor transitions; an interface has one digit and one move,
+    across its edge inward.  :func:`step` and :func:`walk_closure` both
+    read successors from :meth:`successors`."""
+
+    __slots__ = ("data", "vids", "slot", "states", "digits", "radix", "size", "loci",
+                 "locus_id", "terminal", "moves", "anchor")
 
     def __init__(self, m: GraphMachine):
         g = m.graph
-
-        def locus(port) -> tuple:
-            lab = g.vertices[port[0]]
-            if isinstance(lab, InterfaceLabel):
-                return ("iface", lab.serial)
-            return ("port", *port)
-
+        self.data = m.data
+        k = len(m.data)
         self.vids = tuple(g.internal_vertices())
         self.slot = {vid: i for i, vid in enumerate(self.vids)}
-        self.states = tuple(m.local(vid).base.states for vid in self.vids)
-        tables = {name: _index_delta(m.omega[name])
-                  for name in {g.vertices[vid].name for vid in self.vids}}
-        self.fires = tuple(tables[g.vertices[vid].name] for vid in self.vids)
-        self.across = tuple(
-            tuple(locus(g.partner((vid, p))) for p in range(len(g.ports_of(vid))))
-            for vid in self.vids
-        )
-        self.inward = {
-            serial: locus(g.partner((vid, 0)))
-            for serial, vid in g.interface_vertices().items()
-        }
+        self.states = tuple(tuple(sorted(m.local(vid).base.states, key=repr)) for vid in self.vids)
+        self.digits = tuple({q: d for d, q in enumerate(states)} for states in self.states)
+        radix, size = [], 1
+        for states in self.states:
+            radix.append(size)
+            size *= len(states)
+        self.radix, self.size = tuple(radix), size
+        ifaces = g.interface_vertices()
+        loci = [_AT_ANCHOR] + [("iface", serial) for serial in ifaces]
+        first_port = []
+        for vid in self.vids:
+            first_port.append(len(loci))
+            loci += [("port", vid, p) for p in range(len(g.ports_of(vid)))]
+        self.loci = tuple(loci)
+        self.locus_id = {locus: n for n, locus in enumerate(loci)}
+        self.terminal = (1 + len(ifaces)) * k * size
+
+        def across(port) -> int:
+            """The locus number across the edge at ``port``."""
+            vid, p = g.partner(port)
+            lab = g.vertices[vid]
+            return lab.serial if isinstance(lab, InterfaceLabel) else first_port[self.slot[vid]] + p
+
+        moves: list = [None] * (len(loci) * k)
+        for serial, vid in ifaces.items():
+            inward = across((vid, 0))
+            for d in range(k):
+                moves[serial * k + d] = (1, 1, (((inward * k + d) * size,),))
+        anchor = []
+        for i, vid in enumerate(self.vids):
+            count, digit = len(self.states[i]), self.digits[i]
+            entries = range(first_port[i] * k, (first_port[i] + len(g.ports_of(vid))) * k)
+            table = {ld: [[] for _ in range(count)] for ld in entries}
+            at_anchor = [[] for _ in range(count)]
+            for (q, x), (r, y) in m.local(vid).base.delta:
+                q = digit[q]
+                move = (digit[r] - q) * radix[i]
+                if y != ANCHOR:
+                    port, d = decode_position(y, k)
+                    move += (across((vid, port - 1)) * k + d) * size
+                if x == ANCHOR:
+                    at_anchor[q].append(move)
+                else:
+                    port, d = decode_position(x, k)
+                    table[(first_port[i] + port - 1) * k + d][q].append(move)
+            for ld, by_digit in table.items():
+                moves[ld] = (radix[i], count, tuple(map(tuple, by_digit)))
+            anchor.append((radix[i], count, tuple(map(tuple, at_anchor))))
+        self.moves, self.anchor = moves, tuple(anchor)
+
+    def successors(self, code: int) -> list[int]:
+        """The configurations one local transition after ``code``."""
+        ld, s = divmod(code, self.size)
+        if ld:
+            radix, count, by_digit = self.moves[ld]
+            return [s + move for move in by_digit[s // radix % count]]
+        return [s + move for radix, count, by_digit in self.anchor
+                for move in by_digit[s // radix % count]]
+
+    def local(self, s: int) -> tuple:
+        """The sorted ``(vertex id, state)`` pairs of state number ``s``."""
+        return tuple((vid, states[s // radix % len(states)])
+                     for vid, states, radix in zip(self.vids, self.states, self.radix))
+
+    def config(self, code: int) -> Config:
+        """The configuration numbered ``code``."""
+        ld, s = divmod(code, self.size)
+        locus, d = divmod(ld, len(self.data))
+        return Config(self.local(s), self.loci[locus], self.data[d] if locus else None)
 
 
-def _check_local(ix: StepIndex, local: tuple):
-    """Raise unless ``local`` holds a known state for each internal vertex,
-    in vertex order."""
+def _state_number(ix: StepIndex, local: tuple) -> int:
+    """The number of ``local``; raise unless it holds a known state for
+    each internal vertex, in vertex order."""
     if tuple(map(_vertex, local)) != ix.vids:
         raise IllFormedConfig("local state map does not cover internal vertices")
-    for (vid, q), states in zip(local, ix.states):
+    s = 0
+    for (vid, q), digit, radix in zip(local, ix.digits, ix.radix):
         try:
-            known = q in states
-        except TypeError:  # an unhashable value is no state
-            known = False
-        if not known:
-            raise IllFormedConfig(f"state {q!r} unknown at vertex {vid}")
+            s += digit[q] * radix
+        except (KeyError, TypeError):  # an unhashable value is no state
+            raise IllFormedConfig(f"state {q!r} unknown at vertex {vid}") from None
+    return s
 
 
 def step(m: GraphMachine, c: Config) -> set[Config]:
@@ -414,57 +470,35 @@ def step(m: GraphMachine, c: Config) -> set[Config]:
     At an interface the datum just crosses the interface edge inward; at a
     port the vertex fires one local transition and the output crosses the
     corresponding edge (or moves to the anchor); at the anchor any vertex
-    may fire one of its anchor transitions.  Each is a lookup in
-    ``m.step_index``; ``c.local`` must be sorted as ``Config.make`` sorts
-    it, and a malformed ``c`` raises :class:`IllFormedConfig`.
+    may fire one of its anchor transitions.  ``c`` is numbered and its
+    successors read from ``m.step_index``; ``c.local`` must be sorted as
+    ``Config.make`` sorts it, and a malformed ``c`` raises
+    :class:`IllFormedConfig`.
     """
     ix = m.step_index
-    local = c.local
-    _check_local(ix, local)
+    s = _state_number(ix, c.local)
     kind = c.locus[0]
-    out: set[Config] = set()
     if kind == "anchor":
         if c.datum is not None:
             raise IllFormedConfig("datum at the anchor")
-        for i, (_, q) in enumerate(local):
-            _successors(ix, local, i, (q, ANCHOR), out)
-        return out
+        return {ix.config(c2) for c2 in ix.successors(s)}
     if kind not in ("iface", "port"):
         raise IllFormedConfig(f"unknown locus {c.locus!r}")
     if c.datum not in m.data:
         raise IllFormedConfig(f"datum {c.datum!r} not in machine data")
     if kind == "iface":
-        inward = ix.inward.get(c.locus[1])
-        if inward is None:
+        locus = ix.locus_id.get(("iface", c.locus[1]))
+        if locus is None:
             raise IllFormedConfig(f"no interface {c.locus[1]}")
-        out.add(Config(local, inward, c.datum))
-        return out
-    _, vid, port = c.locus
-    i = ix.slot.get(vid)
-    if i is None:
-        raise IllFormedConfig(f"vertex {vid} is not internal")
-    if not 0 <= port < len(ix.across[i]):
-        raise IllFormedConfig(f"vertex {vid} has no port {port}")
-    _successors(ix, local, i, (local[i][1], (port, c.datum)), out)
-    return out
-
-
-def _successors(ix: StepIndex, local: tuple, i: int, key, out: set[Config]):
-    """Add to ``out`` every configuration reached by the vertex in slot
-    ``i`` firing a local transition at ``key``: its new state replaces
-    slot ``i`` and its output crosses the edge at the exit port."""
-    moves = ix.fires[i].get(key)
-    if not moves:
-        return
-    vid = local[i][0]
-    head, tail = local[:i], local[i + 1 :]
-    loci = ix.across[i]
-    for r, exit in moves:
-        nxt = head + ((vid, r),) + tail
-        if exit == ANCHOR:
-            out.add(Config(nxt, _AT_ANCHOR, None))
-        else:
-            out.add(Config(nxt, loci[exit[0]], exit[1]))
+    else:
+        _, vid, port = c.locus
+        if vid not in ix.slot:
+            raise IllFormedConfig(f"vertex {vid} is not internal")
+        locus = ix.locus_id.get(("port", vid, port))
+        if locus is None:
+            raise IllFormedConfig(f"vertex {vid} has no port {port}")
+    code = (locus * len(m.data) + m.data.index(c.datum)) * ix.size + s
+    return {ix.config(c2) for c2 in ix.successors(code)}
 
 
 def _is_terminal(c: Config) -> bool:
@@ -525,17 +559,19 @@ def _endpoint_packer(m: GraphMachine):
     return end
 
 
-def _reachable_exits(m: GraphMachine, start: Config, stepper) -> set[Config]:
+def _reachable_exits(start, successors, terminal) -> set:
     """Terminal configurations reachable from ``start`` in one or more
-    steps (the start itself counts only when re-reached)."""
+    steps (the start itself counts only when re-reached): one
+    breadth-first search over ``successors``, stopping at each
+    configuration ``terminal`` accepts."""
     frontier = [start]
     seen = set()
-    exits: set[Config] = set()
+    exits = set()
     while frontier:
         nxt = []
         for c in frontier:
-            for c2 in stepper(c):
-                if _is_terminal(c2):
+            for c2 in successors(c):
+                if terminal(c2):
                     exits.add(c2)
                 elif c2 not in seen:
                     seen.add(c2)
@@ -567,7 +603,7 @@ def walks(
     end = _endpoint_packer(m)
     out = set()
     for s0 in _start_configs(m, start_local, frm):
-        for c2 in _reachable_exits(m, s0, lambda c: step(m, c)):
+        for c2 in _reachable_exits(s0, lambda c: step(m, c), _is_terminal):
             if c2.locus == target:
                 out.add((end(s0), end(c2)))
     return out
@@ -575,23 +611,34 @@ def walks(
 
 def walk_closure(m: GraphMachine) -> frozenset:
     """The full operational transition relation over external interfaces
-    and the anchor, in the shape of ``evaluate(m).base.delta``."""
-    endpoints = [ANCHOR] + sorted(m.graph.interface_vertices())
-    cache: dict[Config, set[Config]] = {}
+    and the anchor, in the shape of ``evaluate(m).base.delta``: one
+    breadth-first search from every start, on the configuration numbers
+    of ``m.step_index``, each configuration's successors read once."""
+    ix = m.step_index
+    k, size = len(m.data), ix.size
+    pack = state_packer(m)
+    packed = [pack(dict(ix.local(s))) for s in range(size)]
+    # the end of a transition at each terminal (locus * |D| + datum)
+    where = [ANCHOR] * k + [
+        position_of(serial, d, k) for serial in m.graph.interface_vertices() for d in range(k)
+    ]
+    starts = [0] + list(range(k, len(where)))
+    cache: dict[int, list[int]] = {}
 
-    def stepper(c: Config) -> set[Config]:
-        out = cache.get(c)
+    def successors(code: int) -> list[int]:
+        out = cache.get(code)
         if out is None:
-            out = cache[c] = step(m, c)
+            out = cache[code] = ix.successors(code)
         return out
 
-    end = _endpoint_packer(m)
+    terminal = ix.terminal.__gt__  # code < ix.terminal
     out = set()
-    for local in machine_states(m):
-        for frm in endpoints:
-            for s0 in _start_configs(m, local, frm):
-                start = end(s0)
-                out.update((start, end(c2)) for c2 in _reachable_exits(m, s0, stepper))
+    for s in range(size):
+        for ld in starts:
+            begin = packed[s], where[ld]
+            for code in _reachable_exits(ld * size + s, successors, terminal):
+                ld2, s2 = divmod(code, size)
+                out.add((begin, (packed[s2], where[ld2])))
     return frozenset(out)
 
 

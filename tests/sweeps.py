@@ -1,6 +1,7 @@
 """Enumeration helpers for the acceptance sweeps: small connected
 port graphs, switch machines over them, random machines and random
-multi-sorted port graphs; tapes of cells and vertex-shuffled copies."""
+multi-sorted port graphs; tapes of cells and vertex-shuffled copies; the
+local-state assignments of a machine."""
 
 import itertools
 import random
@@ -172,6 +173,13 @@ def random_machine(rng: random.Random, max_internal=4, max_iface=2) -> GraphMach
         base = random_automaton(rng, expand_word(word, len(data)), density=5)
         omega[f"m{d}"] = DFlowAutomaton(data, word, base)
     return GraphMachine(g, data, omega)
+
+
+def machine_states(m: GraphMachine) -> list[dict[int, object]]:
+    """All assignments of local states to internal vertices."""
+    vids = m.graph.internal_vertices()
+    pools = [sorted(m.local(v).base.states, key=repr) for v in vids]
+    return [dict(zip(vids, combo)) for combo in itertools.product(*pools)]
 
 
 def random_port_graph(rng: random.Random, ranks, iface_sorts, loop_sorts=()) -> SigmaGraph:

@@ -23,6 +23,7 @@ from ima.dflow import (
     tm_encode,
     unary_increment_tm,
     walk_closure,
+    _is_terminal,
     _reachable_exits,
     _start_configs,
 )
@@ -235,14 +236,14 @@ def test_criterion_7_soliton_sweep():
                 local = {v: port + 1 for v, port in q.items()}
                 for i in ifaces:
                     for s0 in _start_configs(m, local, i):
-                        for c2 in _reachable_exits(m, s0, stepper):
+                        for c2 in _reachable_exits(s0, stepper, _is_terminal):
                             if c2.locus[0] == "iface":
                                 final = {v: s - 1 for v, s in c2.local_map().items()}
                                 assert sol.is_pim(p, final)
                                 walks_seen += 1
                 if not ifaces:
                     for s0 in _start_configs(m, local, ANCHOR):
-                        for c2 in _reachable_exits(m, s0, stepper):
+                        for c2 in _reachable_exits(s0, stepper, _is_terminal):
                             assert c2.locus == ("anchor",)
         assert graphs > 700 and walks_seen > 5000
         elapsed = time.time() - start
@@ -259,7 +260,7 @@ def test_criterion_7_anchor_exits_on_open_graphs():
     local = {v: 1 for v in m.graph.internal_vertices()}
     exits = set()
     for s0 in _start_configs(m, local, ANCHOR):
-        exits |= {c.locus[0] for c in _reachable_exits(m, s0, lambda c: step(m, c))}
+        exits |= {c.locus[0] for c in _reachable_exits(s0, lambda c: step(m, c), _is_terminal)}
     assert "iface" in exits
 
 

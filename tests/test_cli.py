@@ -209,6 +209,26 @@ def test_eval_malformed_automaton_file(tmp_path, capsys, doc):
     assert err.startswith("error: malformed automaton file")
 
 
+@pytest.mark.parametrize(
+    "transitions, message",
+    [
+        (None, "missing key 'transitions'"),
+        ([[0, [7, 1], 0, "*"]], "datum 7 not in data (0, 1)"),
+        ([[0, [0, 3], 0, "*"]], "port 3 outside port word 'A' of length 1"),
+    ],
+    ids=["missing-key", "unknown-datum", "port-outside-word"],
+)
+def test_eval_automaton_file_names_the_fault(tmp_path, capsys, transitions, message):
+    doc = {"interface": "A", "data": [0, 1], "states": [0]}
+    if transitions is not None:
+        doc["transitions"] = transitions
+    f = tmp_path / "bad.auto.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "eval", "--automaton", str(f))
+    assert code == 2
+    assert err == f"error: malformed automaton file: {message}\n"
+
+
 def test_eval_automaton_file_with_repeated_data(tmp_path, capsys):
     doc = {"interface": "1", "data": [0, 0], "states": [0], "transitions": []}
     f = tmp_path / "repeated.auto.json"

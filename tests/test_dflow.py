@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ima import automata, laws
+from ima import automata, dflow, laws
 from ima import graph as gr
 from ima import term as tm
 from ima.automata import ANCHOR, TuringAutomaton, atomic_switch, reverse, sum_automata
@@ -20,7 +20,6 @@ from ima.dflow import (
     evaluate,
     expand_word,
     format_automaton,
-    machine_states,
     pack_state,
     parse_automaton,
     position_of,
@@ -36,11 +35,18 @@ from ima.errors import IllFormedConfig, InvalidArity, InvalidSpec
 from ima.graph import (
     DEFAULT_SORT,
     InterfaceLabel,
+    LoopLabel,
     SigmaGraph,
     SymbolLabel,
 )
 from ima.perm import Obj
-from sweeps import connected_port_graphs, random_machine, random_port_graph, switch_machine
+from sweeps import (
+    connected_port_graphs,
+    machine_states,
+    random_machine,
+    random_port_graph,
+    switch_machine,
+)
 
 
 S = DEFAULT_SORT
@@ -261,7 +267,9 @@ def scanning_fire(m: GraphMachine, local, vid, auto: DFlowAutomaton, entry, out)
 
 def differential_machines() -> list[GraphMachine]:
     """Random machines, switch machines on small connected port graphs and
-    on graphs with wires and loop vertices, and random Turing machines."""
+    on graphs with wires and loop vertices, random Turing machines, and
+    switch and random machines on :func:`featured_graph` and on a graph
+    with no internal vertex."""
     rng = random.Random(20261019)
     machines = [random_machine(rng) for _ in range(40)]
     machines += [
@@ -272,7 +280,35 @@ def differential_machines() -> list[GraphMachine]:
     for degrees in ([2], [3, 1], [2, 2], [3, 2, 1]):
         machines.append(switch_machine(switch_graph(rng, degrees), rng.random() < 0.5))
     machines += [tm_encode(random_tm_spec(rng), rng.randint(1, 4)) for _ in range(8)]
+    g = featured_graph()
+    machines += [switch_machine(g, False), switch_machine(g, True)]
+    machines.append(GraphMachine(g, (0, 1), {
+        name: DFlowAutomaton((0, 1), word, laws.random_automaton(rng, expand_word(word, 2), 3, 5))
+        for name, word in (("c4", Obj((S,) * 4)), ("c3", Obj((S,) * 3)))
+    }))
+    wires = SigmaGraph(
+        {0: InterfaceLabel(2, S), 1: InterfaceLabel(1, S), 2: LoopLabel(S)}, [{(0, 0), (1, 0)}]
+    )
+    machines.append(GraphMachine(wires, (0, 1), {}))
     return machines
+
+
+def featured_graph() -> SigmaGraph:
+    """Two vertices ``c4`` and ``c3``: a self-loop on the first, two
+    parallel edges between them, an interface on the second, an
+    interface-to-interface wire and a loop vertex."""
+    vertices = {
+        0: SymbolLabel("c4", Obj((S,) * 4)),
+        1: SymbolLabel("c3", Obj((S,) * 3)),
+        2: InterfaceLabel(1, S),
+        3: InterfaceLabel(2, S),
+        4: InterfaceLabel(3, S),
+        5: LoopLabel(S),
+    }
+    edges = [
+        {(0, 0), (0, 1)}, {(0, 2), (1, 0)}, {(0, 3), (1, 1)}, {(1, 2), (2, 0)}, {(3, 0), (4, 0)},
+    ]
+    return SigmaGraph(vertices, edges)
 
 
 def all_configs(m: GraphMachine):
@@ -340,6 +376,71 @@ def test_indexed_step_equals_scanning_step():
         configs += assert_same_steps(m)
         assert walk_closure(m) == evaluate(m).base.delta
     assert configs > 20_000
+
+
+def config_walk_closure(m: GraphMachine) -> frozenset:
+    """The walk closure over ``Config``s that the numbered one replaced,
+    kept only as a reference: one breadth-first search through ``step``
+    from every start, each configuration stepped once."""
+    pack = dflow.state_packer(m)
+    cache: dict[Config, set[Config]] = {}
+
+    def stepper(c: Config) -> set[Config]:
+        if c not in cache:
+            cache[c] = step(m, c)
+        return cache[c]
+
+    def end(c: Config) -> tuple:
+        if c.locus[0] == "anchor":
+            return pack(c.local_map()), ANCHOR
+        return pack(c.local_map()), position_of(c.locus[1], m.data.index(c.datum), len(m.data))
+
+    out = set()
+    for local in machine_states(m):
+        starts = [Config.make(local, ("anchor",), None)]
+        starts += [
+            Config.make(local, ("iface", i), d) for i in m.graph.interface_vertices() for d in m.data
+        ]
+        for s0 in starts:
+            frontier, seen = [s0], set()
+            while frontier:
+                nxt = []
+                for c in frontier:
+                    for c2 in stepper(c):
+                        if c2.locus[0] in ("iface", "anchor"):
+                            out.add((end(s0), end(c2)))
+                        elif c2 not in seen:
+                            seen.add(c2)
+                            nxt.append(c2)
+                frontier = nxt
+    return frozenset(out)
+
+
+def test_walk_closure_equals_config_oracle():
+    seen = set()
+    machines = differential_machines()
+    for m in machines:
+        seen |= graph_features(m.graph)
+        assert walk_closure(m) == config_walk_closure(m)
+    assert seen >= {"no internal vertex", "loop vertex", "wire", "self-loop", "parallel edges"}
+
+
+def test_walk_closure_does_not_step(monkeypatch):
+    # walk_closure runs on configuration numbers; walks still steps Configs
+    calls = []
+    real_step = dflow.step
+
+    def counting(m, c):
+        calls.append(c)
+        return real_step(m, c)
+
+    monkeypatch.setattr("ima.dflow.step", counting)
+    m = switch_machine(switch_graph(random.Random(20261022), [3] * 5), True)
+    assert len(m.graph.internal_vertices()) == 5
+    walk_closure(m)
+    assert len(calls) == 0
+    walks(m, {v: 1 for v in m.graph.internal_vertices()}, ANCHOR, ANCHOR)
+    assert len(calls) > 0
 
 
 def test_repeated_data_are_rejected():
@@ -429,8 +530,6 @@ def test_walks_direction_specific():
 def test_walks_match_on_machine_with_wire_and_loop_vertex():
     # graph: one cell, one direct interface-to-interface wire, one loop
     # vertex; the oracle equality must hold on all of it
-    from ima.graph import LoopLabel
-
     a = alternating_switch(2)
     vertices = {
         0: SymbolLabel("c", a.sort_word),

@@ -63,19 +63,40 @@ BUILTIN_AUTOMATA = {
 
 
 def load_machine(path: str) -> GraphMachine:
+    """The machine a JSON document describes (see the module docstring).
+    A document of another shape raises ``ImaError`` naming the key and
+    its value."""
     mpath = Path(path)
     doc = json.loads(mpath.read_text())
+
+    def bad(what, value, wanted):
+        return ImaError(f"machine file: {what} must be {wanted}, not {json.dumps(value)}")
+
+    if not isinstance(doc, dict):
+        raise bad("the document", doc, "an object")
+    doc = {"omega": {}, **doc}
+    for key, kind, wanted in (("graph", str, "a graph file name"), ("data", list, "a list"),
+                              ("omega", dict, "an object")):
+        if key not in doc:
+            raise ImaError(f"machine file: missing key {key!r}")
+        if not isinstance(doc[key], kind):
+            raise bad(repr(key), doc[key], wanted)
     graph = gr.parse_graph((mpath.parent / doc["graph"]).read_text())
     data = tuple(doc["data"])
     omega = {}
-    for name, spec in doc.get("omega", {}).items():
+    for name, spec in doc["omega"].items():
         if isinstance(spec, str):
             auto = dflow.parse_automaton((mpath.parent / spec).read_text())
             if not isinstance(auto, DFlowAutomaton):
                 raise ImaError(f"automaton file {spec!r} for {name!r} has no data")
             omega[name] = auto
+        elif (isinstance(spec, dict) and spec.get("builtin") in BUILTIN_AUTOMATA
+              and isinstance(spec.get("n"), int)):
+            omega[name] = BUILTIN_AUTOMATA[spec["builtin"]](spec["n"])
         else:
-            omega[name] = BUILTIN_AUTOMATA[spec["builtin"]](int(spec["n"]))
+            raise bad(f"'omega' entry {name!r}", spec,
+                      f'an automaton file name or {{"builtin": one of {sorted(BUILTIN_AUTOMATA)}, '
+                      f'"n": an integer}}')
     return GraphMachine(graph, data, omega)
 
 

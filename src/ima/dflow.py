@@ -226,10 +226,17 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
         def pos(x):
             if x == ANCHOR:
                 return x
-            if not flow:
-                return int(x)
-            d, port = x
-            d, port = _from_json(d), int(port)
+            try:
+                if not flow:
+                    return int(x)
+                if not (isinstance(x, list) and len(x) == 2):
+                    raise ValueError
+                d, port = _from_json(x[0]), int(x[1])
+            except (TypeError, ValueError):
+                wanted = "a [datum, port] pair" if flow else "a position number"
+                raise ValueError(
+                    f"malformed automaton file: position {json.dumps(x)} is not \"*\" or {wanted}"
+                ) from None
             if d not in data:
                 raise ValueError(f"malformed automaton file: datum {d!r} not in data {data!r}")
             if not 1 <= port <= len(word):

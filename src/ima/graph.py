@@ -78,9 +78,10 @@ class SigmaGraph:
 
     The constructor is the one place that checks a graph, for parts that
     come from outside.  Sum and reindex build well-formed graphs from
-    already checked operands and skip it."""
+    already checked operands and skip it.  The partner map is the only
+    stored edge set; :attr:`edges` is derived from it on first use."""
 
-    __slots__ = ("vertices", "edges", "_partner", "_ifaces", "_rank")
+    __slots__ = ("vertices", "_partner", "_ifaces", "_rank", "_edges")
 
     def __init__(self, vertices: dict[int, Label], edges):
         vertices = dict(vertices)
@@ -116,10 +117,17 @@ class SigmaGraph:
             ports = {(v, i) for v, lab in vertices.items() for i in range(len(label_ports(lab)))}
             raise ValueError(f"unmatched ports: {sorted(ports - partner.keys())}")
         self.vertices: dict[int, Label] = vertices
-        self.edges: frozenset[frozenset[Port]] = edges
         self._partner = partner
         self._ifaces = tuple(vid for _, vid in ifaces)
         self._rank = Obj(tuple(vertices[vid].sort for vid in self._ifaces))
+        self._edges = None
+
+    @property
+    def edges(self) -> frozenset[frozenset[Port]]:
+        """Each edge as the frozenset of its two ports."""
+        if self._edges is None:
+            self._edges = frozenset(frozenset(pq) for pq in self._partner.items() if pq[0] < pq[1])
+        return self._edges
 
     # -- structure ------------------------------------------------------
 
@@ -153,19 +161,24 @@ class SigmaGraph:
         n = len(self.internal_vertices())
         return (
             f"<SigmaGraph {self.rank_word()} with {n} internal, "
-            f"{len(self.loop_vertices())} loop, {len(self.edges)} edges>"
+            f"{len(self.loop_vertices())} loop, {len(self._partner) // 2} edges>"
         )
 
 
-def _assemble(vertices, edges, partner, ifaces, rank) -> SigmaGraph:
+def _assemble(vertices, partner, ifaces, rank) -> SigmaGraph:
     """A graph from parts that are well-formed by construction, unchecked:
     ``ifaces`` lists the interface vertex ids in serial order and ``rank``
     their sorts."""
     g = object.__new__(SigmaGraph)
-    g.vertices, g.edges, g._partner, g._ifaces, g._rank = (
-        vertices, edges, partner, ifaces, rank
+    g.vertices, g._partner, g._ifaces, g._rank, g._edges = (
+        vertices, partner, ifaces, rank, None
     )
     return g
+
+
+def _edge_pairs(g: SigmaGraph) -> list[tuple[Port, Port]]:
+    """Each edge once as its ports ``(p, q)`` with ``p < q``, sorted."""
+    return sorted(pq for pq in g._partner.items() if pq[0] < pq[1])
 
 
 # -- constructors ---------------------------------------------------------
@@ -207,7 +220,7 @@ def reindex(g: SigmaGraph, rho: PermSymbol) -> SigmaGraph:
     for vid, to in zip(g._ifaces, rho.flatten()):
         vertices[vid] = InterfaceLabel(to + 1, vertices[vid].sort)
         ifaces[to] = vid
-    return _assemble(vertices, g.edges, g._partner, tuple(ifaces), rho.cod)
+    return _assemble(vertices, g._partner, tuple(ifaces), rho.cod)
 
 
 def sum_graphs(g1: SigmaGraph, g2: SigmaGraph) -> SigmaGraph:
@@ -224,11 +237,8 @@ def sum_graphs(g1: SigmaGraph, g2: SigmaGraph) -> SigmaGraph:
     partner.update(
         ((offset + a, i), (offset + b, j)) for (a, i), (b, j) in g2._partner.items()
     )
-    edges = g1.edges | {
-        frozenset({(offset + a, i), (offset + b, j)}) for (a, i), (b, j) in g2.edges
-    }
     ifaces = g1._ifaces + tuple(offset + vid for vid in g2._ifaces)
-    return _assemble(vertices, edges, partner, ifaces, g1.rank_word() + g2.rank_word())
+    return _assemble(vertices, partner, ifaces, g1.rank_word() + g2.rank_word())
 
 
 def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
@@ -303,7 +313,7 @@ def isomorphic(g1: SigmaGraph, g2: SigmaGraph) -> bool:
     """Label-, port-order-, sort- and serial-preserving isomorphism."""
     if g1.rank_word() != g2.rank_word():
         return False
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    if len(g1.vertices) != len(g2.vertices) or len(g1._partner) != len(g2._partner):
         return False
     loops1 = sorted(g1.vertices[v].sort for v in g1.loop_vertices())
     loops2 = sorted(g2.vertices[v].sort for v in g2.loop_vertices())
@@ -312,8 +322,7 @@ def isomorphic(g1: SigmaGraph, g2: SigmaGraph) -> bool:
 
     def wires(g):
         out = set()
-        for e in g.edges:
-            p, q = sorted(e)
+        for p, q in g._partner.items():
             lp, lq = g.vertices[p[0]], g.vertices[q[0]]
             if isinstance(lp, InterfaceLabel) and isinstance(lq, InterfaceLabel):
                 out.add(frozenset({lp.serial, lq.serial}))
@@ -328,15 +337,14 @@ def isomorphic(g1: SigmaGraph, g2: SigmaGraph) -> bool:
         as ``(v, (i, j), w)``."""
         attached: dict[int, list] = {v: [] for v in g.internal_vertices()}
         edges = []
-        for p, q in g.edges:
-            for (v, i), (w, j) in ((p, q), (q, p)):
-                if v not in attached:
-                    continue
-                lab = g.vertices[w]
-                if isinstance(lab, InterfaceLabel):
-                    attached[v].append((i, lab.serial))
-                else:
-                    edges.append((v, (i, j), w))
+        for (v, i), (w, j) in g._partner.items():
+            if v not in attached:
+                continue
+            lab = g.vertices[w]
+            if isinstance(lab, InterfaceLabel):
+                attached[v].append((i, lab.serial))
+            else:
+                edges.append((v, (i, j), w))
         colors = {v: (g.vertices[v], tuple(sorted(a))) for v, a in attached.items()}
         return colors, edges
 
@@ -375,8 +383,7 @@ def decomposition_plan(g: SigmaGraph) -> DecompositionPlan:
     internal_edges = []
     iface_edges = {}  # serial -> internal port
     wire_edges = []
-    for e in sorted(g.edges, key=sorted):
-        p, q = sorted(e)
+    for p, q in _edge_pairs(g):
         if is_internal_port(p) and is_internal_port(q):
             internal_edges.append((p, q))
         elif is_internal_port(p) or is_internal_port(q):
@@ -455,8 +462,7 @@ def format_graph(g: SigmaGraph) -> str:
         else:
             text = f"loop:{lab.sort.name}"
         lines.append(f"vertex {vid} {text}")
-    for e in sorted(g.edges, key=sorted):
-        (a, i), (b, j) = sorted(e)
+    for (a, i), (b, j) in _edge_pairs(g):
         lines.append(f"edge {a}.{i + 1} {b}.{j + 1}")
     return "\n".join(lines) + "\n"
 
@@ -567,8 +573,7 @@ def to_dot(g: SigmaGraph) -> str:
             )
         else:
             lines.append(f'  v{vid} [shape=diamond, label="{lab.sort.name}"];')
-    for e in sorted(g.edges, key=sorted):
-        (a, i), (b, j) = sorted(e)
+    for (a, i), (b, j) in _edge_pairs(g):
         lines.append(f'  v{a} -- v{b} [taillabel="{i + 1}", headlabel="{j + 1}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,12 +24,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from typing import Mapping
 
 from . import perm as pm
 from .algebra import compose_in, tensor_in
 from .errors import MissingSymbol, ParseError, RankError
-from .perm import Obj, PermSymbol
+from .perm import Obj, PermSymbol, Sort
 
 
 # -- syntax trees ------------------------------------------------------------
@@ -368,180 +369,203 @@ def term_equal(t1: Term, t2: Term, alphabet) -> bool:
 # -- parsing -------------------------------------------------------------------
 
 
-class _Tokens:
-    # ``\w`` is exactly ``str.isalnum()`` or ``_``, and ``\s`` exactly
-    # ``str.isspace()``; only ``\n`` starts a new line.
-    TOKEN = re.compile(
-        r"(?P<name>\w+)|(?P<punct>[()\[\];,+.#])|(?P<space>\s+)|(?P<bad>.)", re.DOTALL
-    )
-
-    def __init__(self, text: str):
-        self.items: list[tuple[str, str, int, int]] = []  # kind, value, line, col
-        line, start = 1, 0  # start: offset of the first character of the line
-        for m in self.TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == "space":
-                newlines = m.group().count("\n")
-                if newlines:
-                    line += newlines
-                    start = text.rindex("\n", m.start(), m.end()) + 1
-            elif kind == "bad":
-                raise ParseError(
-                    f"unexpected character {m.group()!r}", line, m.start() - start + 1
-                )
-            else:
-                self.items.append((kind, m.group(), line, m.start() - start + 1))
-        self.items.append(("eof", "", line, len(text) - start + 1))
-        self.pos = 0
-
-    def peek(self):
-        return self.items[self.pos]
-
-    def next(self):
-        tok = self.items[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, got, line, col = self.next()
-        if got != value:
-            raise ParseError(f"expected {value!r}, found {got or 'end of input'!r}", line, col)
-
-    def error(self, message):
-        _, _, line, col = self.peek()
-        raise ParseError(message, line, col)
+# ``\w`` is exactly ``str.isalnum()`` or ``_``, and ``\s`` exactly
+# ``str.isspace()``; only ``\n`` starts a new line.  A token is a name or
+# one punctuation character; whitespace separates tokens, and any other
+# character is an error.
+_TOKEN = re.compile(r"\w+|[()\[\];,+.#]")
+_BAD = re.compile(r"[^\w\s()\[\];,+.#]")
+_PUNCT = frozenset("()[];,+.#")
 
 
-def _parse_word(toks: _Tokens) -> Obj:
-    kind, value, line, col = toks.peek()
-    if kind == "punct" and value == "(":
-        toks.next()
-        toks.expect(")")
-        return pm.UNIT
-    if kind == "punct" and value == ")":
-        return pm.UNIT  # empty word, as in "id()"
-    if kind != "name":
-        raise ParseError(f"expected a sort word, found {value!r}", line, col)
-    toks.next()
-    return Obj.parse(value)
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``text[offset]``."""
+    start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - start + 1
 
 
-def _parse_perm_atom(toks: _Tokens) -> PermSymbol:
-    kind, value, line, col = toks.peek()
-    if value == "(":
-        toks.next()
-        rho = _parse_perm(toks)
-        toks.expect(")")
-        return rho
-    if value == "id":
-        toks.next()
-        toks.expect("(")
-        w = _parse_word(toks)
-        toks.expect(")")
-        return pm.identity(w)
-    if value == "c":
-        toks.next()
-        toks.expect("(")
-        v = _parse_word(toks)
-        toks.expect(",")
-        w = _parse_word(toks)
-        toks.expect(")")
-        return pm.block_transposition(v, w)
-    raise ParseError(f"expected a permutation, found {value!r}", line, col)
+def _tokenise(text: str) -> list[str]:
+    """The tokens of ``text`` in order, then ``""`` for the end of input."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", *_line_col(text, bad.start()))
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    return tokens
 
 
-def _parse_perm_comp(toks: _Tokens) -> PermSymbol:
-    rho = _parse_perm_atom(toks)
-    while toks.peek()[1] == ".":
-        toks.next()
-        rho = pm.compose(rho, _parse_perm_atom(toks))
-    return rho
-
-
-def _parse_perm(toks: _Tokens) -> PermSymbol:
-    parts = [_parse_perm_comp(toks)]
-    while toks.peek()[1] == "#":
-        toks.next()
-        parts.append(_parse_perm_comp(toks))
-    return pm.tensor_all(parts)
-
-
-def _parse_primary(toks: _Tokens) -> Term:
-    kind, value, line, col = toks.peek()
-    if value == "(":
-        toks.next()
-        t = _parse_sum(toks)
-        toks.expect(")")
-        return t
-    if value == "atom":
-        toks.next()
-        kind, name, line, col = toks.next()
-        if kind != "name":
-            raise ParseError("expected a symbol name after 'atom'", line, col)
-        return Atom(name)
-    if value == "id":
-        toks.next()
-        toks.expect("(")
-        w = _parse_word(toks)
-        toks.expect(")")
-        return Id(w)
-    if value == "tr":
-        toks.next()
-        toks.expect("(")
-        w = _parse_word(toks)
-        toks.expect(",")
-        t = _parse_sum(toks)
-        toks.expect(")")
-        return Trace(w, t)
-    if value in ("comp", "ten"):
-        toks.next()
-        toks.expect("[")
-        words = [_parse_word(toks)]
-        while toks.peek()[1] == ";":
-            toks.next()
-            words.append(_parse_word(toks))
-        toks.expect("]")
-        expected = 3 if value == "comp" else 4
-        if len(words) != expected:
-            raise ParseError(f"{value} takes {expected} words", line, col)
-        toks.expect("(")
-        left = _parse_sum(toks)
-        toks.expect(",")
-        right = _parse_sum(toks)
-        toks.expect(")")
-        if value == "comp":
-            return Comp(words[0], words[1], words[2], left, right)
-        return Tensor(words[0], words[1], words[2], words[3], left, right)
-    raise ParseError(f"expected a term, found {value or 'end of input'!r}", line, col)
-
-
-def _parse_indexed(toks: _Tokens) -> Term:
-    t = _parse_primary(toks)
-    while toks.peek()[1] == ".":
-        toks.next()
-        t = Index(t, _parse_perm(toks))
-    return t
-
-
-def _parse_sum(toks: _Tokens) -> Term:
-    t = _parse_indexed(toks)
-    while toks.peek()[1] == "+":
-        toks.next()
-        t = Sum(t, _parse_indexed(toks))
-    return t
+def _locate(text: str, k: int) -> tuple[int, int]:
+    """Line and column of the ``k``-th token of ``_tokenise(text)``.  The
+    tokens are found again, so only a parse that fails pays for this."""
+    m = next(islice(_TOKEN.finditer(text), k, None), None)
+    return _line_col(text, len(text) if m is None else m.start())
 
 
 def parse(text: str) -> Term:
-    toks = _Tokens(text)
-    try:
-        t = _parse_sum(toks)
-    except RecursionError:
-        _, _, line, col = toks.peek()
-        raise ParseError("term is nested too deeply", line, col) from None
-    kind, value, line, col = toks.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", line, col)
-    return t
+    """The term that ``text`` spells, by the grammar in the module
+    docstring.
+
+    One pass over the token list with explicit stacks of the open
+    contexts, so any nesting depth parses.  Sort words and ``c(v,w)`` and
+    ``id(w)`` symbols are built once per parse and shared: the blocks of
+    the symbols a permutation chain composes are then the same objects,
+    which ``perm.compose`` compares by identity first."""
+    tokens = _tokenise(text)
+    words: dict[str, Obj] = {"": pm.UNIT}
+    symbols: dict[tuple[str, str, str], PermSymbol] = {}
+
+    def fail(message, k):
+        raise ParseError(message, *_locate(text, k))
+
+    def expect(value, k):
+        """The index after token ``k``, which must be ``value``."""
+        if tokens[k] != value:
+            fail(f"expected {value!r}, found {tokens[k] or 'end of input'!r}", k)
+        return k + 1
+
+    def obj(key):
+        """The word ``key`` of this parse, made of its one-letter words."""
+        w = words.get(key)
+        if w is None:
+            w = Obj((Sort(key),)) if len(key) == 1 else Obj(tuple([obj(c).word[0] for c in key]))
+            words[key] = w
+        return w
+
+    def word(k):
+        """The text of the sort word at ``k`` (``""`` for the unit, written
+        ``()`` or left empty before a ``)``), and the index after it."""
+        value = tokens[k]
+        if value == "(":
+            return "", expect(")", k + 1)
+        if value == ")":
+            return "", k
+        if not value or value in _PUNCT:
+            fail(f"expected a sort word, found {value!r}", k)
+        return value, k + 1
+
+    def symbol(k):
+        """The ``id(w)`` or ``c(v,w)`` at ``k``, and the index after it."""
+        if tokens[k] == "id":
+            w, k = word(expect("(", k + 1))
+            key = ("id", w, "")
+        else:
+            v, k = word(expect("(", k + 1))
+            w, k = word(expect(",", k))
+            key = ("c", v, w)
+        k = expect(")", k)
+        rho = symbols.get(key)
+        if rho is None:
+            if key[0] == "id":
+                rho = PermSymbol(tuple(map(obj, w)), tuple(range(len(w))))
+            else:
+                rho = pm.block_transposition(obj(v), obj(w))
+            symbols[key] = rho
+        return rho, k
+
+    def perm(k):
+        """The permutation expression at ``k``: the longest one, as after
+        a term-level ``.``; and the index after it."""
+        outer = []  # (factors, chain) of each enclosing "("
+        factors, chain = [], None  # the "#" factors done, the "." chain open
+        while True:
+            value = tokens[k]
+            if value == "(":
+                outer.append((factors, chain))
+                factors, chain = [], None
+                k += 1
+                continue
+            if value != "id" and value != "c":
+                fail(f"expected a permutation, found {value!r}", k)
+            rho, k = symbol(k)
+            while True:  # ``rho`` is a whole operand of the open chain
+                chain = rho if chain is None else pm.compose(chain, rho)
+                value = tokens[k]
+                if value == ".":
+                    k += 1
+                    break
+                factors.append(chain)
+                chain = None
+                if value == "#":
+                    k += 1
+                    break
+                rho = factors[0] if len(factors) == 1 else pm.tensor_all(factors)
+                if not outer:
+                    return rho, k
+                k = expect(")", k)
+                factors, chain = outer.pop()
+
+    # Each open context is a sum being read, with its summands so far:
+    # the whole text, a "(" group, the body of a trace, or the left or
+    # right operand of a comp or ten, whose words (and left operand)
+    # ride in ``data``.
+    TOP, GROUP, TRACE, LEFT, RIGHT = range(5)
+    outer = []  # (context, summands, data) of each enclosing context
+    context, acc, data = TOP, None, None
+    k = 0
+    while True:
+        value = tokens[k]
+        if value == "(":
+            outer.append((context, acc, data))
+            context, acc, data = GROUP, None, None
+            k += 1
+            continue
+        if value == "tr":
+            w, k = word(expect("(", k + 1))
+            k = expect(",", k)
+            outer.append((context, acc, data))
+            context, acc, data = TRACE, None, obj(w)
+            continue
+        if value == "comp" or value == "ten":
+            at = k
+            w, k = word(expect("[", k + 1))
+            split = [obj(w)]
+            while tokens[k] == ";":
+                w, k = word(k + 1)
+                split.append(obj(w))
+            k = expect("]", k)
+            wanted = 3 if value == "comp" else 4
+            if len(split) != wanted:
+                fail(f"{value} takes {wanted} words", at)
+            k = expect("(", k)
+            outer.append((context, acc, data))
+            context, acc, data = LEFT, None, (Comp if value == "comp" else Tensor, split)
+            continue
+        if value == "atom":
+            name = tokens[k + 1]
+            if not name or name in _PUNCT:
+                fail("expected a symbol name after 'atom'", k + 1)
+            t = Atom(name)
+            k += 2
+        elif value == "id":
+            w, k = word(expect("(", k + 1))
+            k = expect(")", k)
+            t = Id(obj(w))
+        else:
+            fail(f"expected a term, found {value or 'end of input'!r}", k)
+        while True:  # ``t`` is a whole primary of the open context
+            while tokens[k] == ".":
+                rho, k = perm(k + 1)
+                t = Index(t, rho)
+            acc = t if acc is None else Sum(acc, t)
+            if tokens[k] == "+":
+                k += 1
+                break
+            t = acc
+            if context == LEFT:
+                k = expect(",", k)
+                context, acc, data = RIGHT, None, (data, t)
+                break
+            if context == TOP:
+                if tokens[k]:
+                    fail(f"trailing input {tokens[k]!r}", k)
+                return t
+            k = expect(")", k)
+            if context == TRACE:
+                t = Trace(data, t)
+            elif context == RIGHT:
+                (node, split), left = data
+                t = node(*split, left, t)
+            context, acc, data = outer.pop()
 
 
 # -- printing ------------------------------------------------------------------

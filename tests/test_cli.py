@@ -40,10 +40,25 @@ def test_parse_error_exit_code(term_file, capsys):
 
 
 def test_parse_deeply_nested_exit_code(term_file, capsys):
-    f = term_file("deep.term", "(" * 1200 + "id(A)" + ")" * 1200 + "\n")
-    code, _, err = run(capsys, "parse", f)
-    assert code == 2
-    assert err.startswith("error: ") and "nested too deeply" in err
+    for depth in (1200, 100_000):
+        f = term_file("deep.term", "(" * depth + "id(A)" + ")" * depth + "\n")
+        code, out, err = run(capsys, "parse", f)
+        assert code == 0 and not err
+        assert out == "id(A)\n"
+        f = term_file("open.term", "(" * depth + "id(A)" + ")" * (depth - 1) + "\n")
+        code, _, err = run(capsys, "parse", f)
+        assert code == 2
+        assert err == f"error: 1:{2 * depth + 5}: expected ')', found 'end of input'\n"
+
+
+def test_normalize_deeply_nested_traces(term_file, capsys):
+    # tr(A, (id(A) + t) . c(A,AA)#id(A)) composes id(A) with t, 5,000 deep
+    depth = 5000
+    text = "tr(A, (id(A) + " * depth + "id(A)" + ") . c(A,AA)#id(A))" * depth
+    f = term_file("traces.term", text + "\n")
+    code, out, err = run(capsys, "normalize", f)
+    assert code == 0 and not err
+    assert out == "graph AA\nvertex 0 in:1:A\nvertex 1 in:2:A\nedge 0.1 1.1\n"
 
 
 def test_flat_sum_of_many_summands(term_file, capsys):
@@ -178,6 +193,26 @@ def test_machine_rejects_omega_file_without_data(machine_files, capsys):
     assert err.startswith("error: ") and "has no data" in err
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"data": 5}, "'data' must be a list, not 5"),
+        ({"omega": {"c2": [1]}}, "'omega' entry 'c2' must be an automaton file name or "),
+        ({"omega": []}, "'omega' must be an object, not []"),
+        (None, 'the document must be an object, not ["path.graph", [0, 1]]'),
+        ({"graph": 3}, "'graph' must be a graph file name, not 3"),
+    ],
+    ids=["data-number", "omega-entry-list", "omega-list", "list-document", "graph-number"],
+)
+def test_eval_machine_document_of_wrong_shape(machine_files, capsys, change, message):
+    doc = json.loads((machine_files / "m.json").read_text())
+    doc = ["path.graph", [0, 1]] if change is None else {**doc, **change}
+    (machine_files / "bad.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--machine", str(machine_files / "bad.json"))
+    assert code == 2 and not out
+    assert err.startswith(f"error: machine file: {message}")
+
+
 def test_eval_plain_automaton_file(tmp_path, capsys):
     doc = {
         "interface": "AA",
@@ -215,8 +250,9 @@ def test_eval_malformed_automaton_file(tmp_path, capsys, doc):
         (None, "missing key 'transitions'"),
         ([[0, [7, 1], 0, "*"]], "datum 7 not in data (0, 1)"),
         ([[0, [0, 3], 0, "*"]], "port 3 outside port word 'A' of length 1"),
+        ([[0, [0, 1, 2], 0, "*"]], 'position [0, 1, 2] is not "*" or a [datum, port] pair'),
     ],
-    ids=["missing-key", "unknown-datum", "port-outside-word"],
+    ids=["missing-key", "unknown-datum", "port-outside-word", "position-of-three"],
 )
 def test_eval_automaton_file_names_the_fault(tmp_path, capsys, transitions, message):
     doc = {"interface": "A", "data": [0, 1], "states": [0]}
@@ -227,6 +263,15 @@ def test_eval_automaton_file_names_the_fault(tmp_path, capsys, transitions, mess
     code, _, err = run(capsys, "eval", "--automaton", str(f))
     assert code == 2
     assert err == f"error: malformed automaton file: {message}\n"
+
+
+def test_eval_plain_automaton_file_names_a_bad_position(tmp_path, capsys):
+    doc = {"interface": "AA", "states": [0], "transitions": [[0, "x", 0, 2]]}
+    f = tmp_path / "bad.auto.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "eval", "--automaton", str(f))
+    assert code == 2
+    assert err == 'error: malformed automaton file: position "x" is not "*" or a position number\n'
 
 
 def test_eval_automaton_file_with_repeated_data(tmp_path, capsys):

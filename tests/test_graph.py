@@ -131,6 +131,28 @@ def test_operation_results_are_well_formed():
             assert_well_formed(result)
 
 
+def test_edges_are_the_partner_map():
+    # sum and reindex store only the partner map; ``edges`` is derived from it
+    rng = random.Random(12)
+    for _ in range(200):
+        w = random_obj(rng)
+        g = random_graph(rng, w + w + random_obj(rng))
+        h = random_graph(rng, random_obj(rng))
+        summed = sum_graphs(g, h)
+        moved = reindex(summed, random_symbol_on(rng, summed.rank_word()))
+        for result in (summed, moved, trace(g, w), trace(moved, UNIT)):
+            ports = [(v, i) for v in result.vertices for i in range(len(result.ports_of(v)))]
+            rebuilt = frozenset(frozenset({p, result.partner(p)}) for p in ports)
+            assert result.edges == rebuilt
+            symbols = {
+                lab.name: lab.rank
+                for lab in result.vertices.values()
+                if isinstance(lab, SymbolLabel)
+            }
+            back = parse_graph(format_graph(result), RankedAlphabet(symbols))
+            assert back.edges == result.edges
+
+
 def test_sum_of_graphs_with_sparse_ids():
     text = "vertex {} in:1:A\nvertex {} sym:h\nvertex {} in:2:A\nedge {}.1 {}.1\nedge {}.2 {}.1\n"
     sparse = parse_graph(text.format(10, 20, 30, 10, 20, 20, 30))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ima import dflow, term as tm
-from ima.errors import MissingSymbol, ParseError, RankError
+from ima.errors import ImaError, MissingSymbol, ParseError, RankError
 from ima.graph import RankedAlphabet,atom, decompose, identity_graph, isomorphic, sum_graphs
-from ima.perm import Obj, block_transposition, from_positions, identity, tensor
+from ima.laws import random_graph, random_obj
+from ima.perm import Obj, block_transposition, compose, from_positions, identity, tensor, tensor_all
 from sweeps import tape_graph
 
 A = Obj.parse("A")
@@ -278,7 +279,7 @@ def test_format_perm_prints_sorting_rounds():
         factors = text.split(" . ")
         assert len(factors) <= n
         for factor in factors:
-            assert all(len(b) == 1 for b in tm._parse_perm(tm._Tokens(factor)).blocks)
+            assert all(len(b) == 1 for b in tm.parse(f"id() . {factor}").rho.blocks)
         assert tm.format_perm(back) == text
 
 
@@ -354,15 +355,238 @@ TOKEN_PIECES = list("()[];,+.#") + list("ABcé٣²_9") + [" ", "\t", "\r", "\n",
 TOKEN_PIECES += ["atom", "id", "tr", "comp", "ten"]
 
 
+token_soups = st.lists(st.sampled_from(TOKEN_PIECES), max_size=40).map("".join)
+
+
 @settings(max_examples=500)
-@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=40).map("".join))
+@given(token_soups)
 def test_tokeniser_matches_character_loop(text):
+    # the token values, and the line and column a parse error names at
+    # each token, end of input included
     try:
         want = char_loop_tokens(text)
     except ParseError as expected:
         with pytest.raises(ParseError) as err:
-            tm._Tokens(text)
+            tm._tokenise(text)
         got = err.value
         assert (str(got), got.line, got.column) == (str(expected), expected.line, expected.column)
     else:
-        assert tm._Tokens(text).items == want
+        assert tm._tokenise(text) == [value for _, value, _, _ in want]
+        assert [tm._locate(text, k) for k in range(len(want))] == [
+            (line, col) for _, _, line, col in want
+        ]
+
+
+class RecursiveParser:
+    """The recursive-descent parser that the explicit-stack one replaced,
+    on the reference token list; kept as the reference for parse results
+    and for the message, line and column of each error."""
+
+    def __init__(self, text):
+        self.items = char_loop_tokens(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.items[self.pos]
+
+    def next(self):
+        self.pos += 1
+        return self.items[self.pos - 1]
+
+    def fail(self, message, tok):
+        raise ParseError(message, tok[2], tok[3])
+
+    def expect(self, value):
+        tok = self.next()
+        if tok[1] != value:
+            self.fail(f"expected {value!r}, found {tok[1] or 'end of input'!r}", tok)
+
+    def word(self):
+        kind, value, _, _ = tok = self.peek()
+        if value == "(":
+            self.next()
+            self.expect(")")
+            return UNIT
+        if value == ")":
+            return UNIT
+        if kind != "name":
+            self.fail(f"expected a sort word, found {value!r}", tok)
+        self.next()
+        return Obj.parse(value)
+
+    def perm_atom(self):
+        tok = self.next()
+        if tok[1] == "(":
+            rho = self.perm()
+            self.expect(")")
+            return rho
+        if tok[1] not in ("id", "c"):
+            self.fail(f"expected a permutation, found {tok[1]!r}", tok)
+        self.expect("(")
+        if tok[1] == "id":
+            w = self.word()
+            self.expect(")")
+            return identity(w)
+        v = self.word()
+        self.expect(",")
+        w = self.word()
+        self.expect(")")
+        return block_transposition(v, w)
+
+    def perm(self):
+        factors = []
+        while True:
+            rho = self.perm_atom()
+            while self.peek()[1] == ".":
+                self.next()
+                rho = compose(rho, self.perm_atom())
+            factors.append(rho)
+            if self.peek()[1] != "#":
+                return tensor_all(factors)
+            self.next()
+
+    def primary(self):
+        tok = self.next()
+        value = tok[1]
+        if value == "(":
+            t = self.sum()
+            self.expect(")")
+            return t
+        if value == "atom":
+            name = self.next()
+            if name[0] != "name":
+                self.fail("expected a symbol name after 'atom'", name)
+            return tm.Atom(name[1])
+        if value in ("id", "tr"):
+            self.expect("(")
+            w = self.word()
+            if value == "id":
+                self.expect(")")
+                return tm.Id(w)
+            self.expect(",")
+            t = self.sum()
+            self.expect(")")
+            return tm.Trace(w, t)
+        if value in ("comp", "ten"):
+            self.expect("[")
+            words = [self.word()]
+            while self.peek()[1] == ";":
+                self.next()
+                words.append(self.word())
+            self.expect("]")
+            n = 3 if value == "comp" else 4
+            if len(words) != n:
+                self.fail(f"{value} takes {n} words", tok)
+            self.expect("(")
+            left = self.sum()
+            self.expect(",")
+            right = self.sum()
+            self.expect(")")
+            return (tm.Comp if value == "comp" else tm.Tensor)(*words, left, right)
+        self.fail(f"expected a term, found {value or 'end of input'!r}", tok)
+
+    def sum(self):
+        t = None
+        while True:
+            u = self.primary()
+            while self.peek()[1] == ".":
+                self.next()
+                u = tm.Index(u, self.perm())
+            t = u if t is None else tm.Sum(t, u)
+            if self.peek()[1] != "+":
+                return t
+            self.next()
+
+    def parse(self):
+        t = self.sum()
+        if self.peek()[0] != "eof":
+            self.fail(f"trailing input {self.peek()[1]!r}", self.peek())
+        return t
+
+
+def recursive_parse(text):
+    return RecursiveParser(text).parse()
+
+
+def outcome(parse, text):
+    """The term ``parse`` reads from ``text``, or the error it raises."""
+    try:
+        return parse(text)
+    except ImaError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=500)
+@given(token_soups)
+def test_parser_matches_recursive_parser_on_token_soups(text):
+    assert outcome(tm.parse, text) == outcome(recursive_parse, text)
+
+
+MUTATIONS = ["(", ")", ".", "#", "+", ",", ";", "[", "]", "A", "()", "id", "c", "atom", "tr"]
+
+
+@settings(max_examples=300)
+@given(terms(), st.data())
+def test_parser_matches_recursive_parser_on_mutated_terms(t, data):
+    # printed terms with one token dropped, added or replaced, or a span
+    # wrapped in parentheses: near misses of the grammar, and some hits
+    tokens = tm._tokenise(tm.format_term(t))[:-1]
+    i = data.draw(st.integers(0, len(tokens)))
+    kind = data.draw(st.sampled_from(["drop", "add", "replace", "wrap"]))
+    if kind == "drop" and i < len(tokens):
+        del tokens[i]
+    elif kind == "add":
+        tokens.insert(i, data.draw(st.sampled_from(MUTATIONS)))
+    elif kind == "replace" and i < len(tokens):
+        tokens[i] = data.draw(st.sampled_from(MUTATIONS))
+    elif kind == "wrap":
+        j = data.draw(st.integers(i, len(tokens)))
+        tokens[i:j] = ["(", *tokens[i:j], ")"]
+    text = data.draw(st.sampled_from([" ", "\n", " \n  "])).join(tokens)
+    assert outcome(tm.parse, text) == outcome(recursive_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "comp[A;B](id(A), id(B))",
+        "ten[A;B;C](id(A), id(B))",
+        "\n  comp[A;B;C;A](id(A), id(B))",
+        "ten[;;;](id(), id())",
+        "comp[A;B;C](id(A) id(B))",
+        "atom +",
+        "atom",
+        "tr(A, id(A)",
+        "id((A))",
+        "id(A) + ",
+        "id(A) . c(A,B) . c(A,B)",
+        "id(A) . (c(A,B) # id(C)",
+        "id(A) . (c(A,B) . c(B,A) # id()) . id(AB)",
+        "(id(A) . c(A,B)) .\n id()) + tr()",
+    ],
+)
+def test_parser_matches_recursive_parser_on_examples(text):
+    assert outcome(tm.parse, text) == outcome(recursive_parse, text)
+
+
+@pytest.mark.parametrize("cells", [20, 60, 250])
+def test_printed_tape_parses_back_equal(cells):
+    t = decompose(tape_graph(cells))
+    assert tm.parse(tm.format_term(t)) == t
+
+
+def test_printed_random_graphs_parse_back_equal():
+    rng = random.Random(13)
+    for _ in range(200):
+        t = decompose(random_graph(rng, random_obj(rng, 4)))
+        assert tm.parse(tm.format_term(t)) == t
+
+
+def test_parse_any_depth():
+    # grouped terms at any depth are covered through the command line
+    n = 100_000
+    rho = tm.parse("id(AB) . " + "(" * n + "c(A,B)" + ")" * n).rho
+    assert rho == block_transposition(A, B)
+    t = tm.parse("tr(A, id(A) + " * 5000 + "id(A)" + ")" * 5000)
+    assert tm.rank(t, RANKS) == A + A

@@ -101,8 +101,20 @@ def load_machine(path: str) -> GraphMachine:
 
 
 def _load_state(path: str) -> dict[int, object]:
+    """The local states a state file gives, by vertex id; a document that
+    is not an object, or a key that is not a vertex id, raises
+    ``ImaError`` naming it."""
     doc = json.loads(Path(path).read_text())
-    return {int(k): dflow._from_json(v) for k, v in doc.items()}
+    if not isinstance(doc, dict):
+        raise ImaError(f"state file: the document must be an object, not {json.dumps(doc)}")
+    state = {}
+    for key, value in doc.items():
+        try:
+            vid = int(key)
+        except ValueError:
+            raise ImaError(f"state file: key {key!r} is not a vertex id") from None
+        state[vid] = dflow._from_json(value)
+    return state
 
 
 def _endpoint(text: str):

@@ -77,7 +77,7 @@ class SigmaGraph:
     """Immutable value; compare with :func:`isomorphic`, not ``==``.
 
     The constructor is the one place that checks a graph, for parts that
-    come from outside.  Sum and reindex build well-formed graphs from
+    come from outside.  Sum, reindex and trace build well-formed graphs from
     already checked operands and skip it.  The partner map is the only
     stored edge set; :attr:`edges` is derived from it on first use."""
 
@@ -255,45 +255,26 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
     rank = g.rank_word()
     if rank[: 2 * n] != w + w:
         raise RankMismatch(f"trace: rank {rank} does not start with {w}{w}")
-    ifaces = g.interface_vertices()
+    ifaces = g._ifaces
     splice: dict[Port, Port] = {}
-    deleted_vids = set()
-    for i in range(1, n + 1):
-        a = (ifaces[i], 0)
-        b = (ifaces[n + i], 0)
-        splice[a] = b
-        splice[b] = a
-        deleted_vids.update((ifaces[i], ifaces[n + i]))
+    for a, b in zip(ifaces[:n], ifaces[n : 2 * n]):
+        splice[(a, 0)] = (b, 0)
+        splice[(b, 0)] = (a, 0)
 
+    # A kept port's new partner is the kept port at the far end of its
+    # chain of glued edges; the ports the chain passes through are used.
+    deleted_vids = set(ifaces[: 2 * n])
     kept = sorted(vid for vid in g.vertices if vid not in deleted_vids)
     new_id = {vid: k for k, vid in enumerate(kept)}
-    new_edges = []
+    partner: dict[Port, Port] = {}
     used = set()
-    for p in ((vid, i) for vid in kept for i in range(len(g.ports_of(vid)))):
-        if p in used:
+    for p, q in g._partner.items():
+        if p[0] in deleted_vids:
             continue
-        q = g.partner(p)
         while q in splice:
-            used.add(q)
-            used.add(splice[q])
-            q = g.partner(splice[q])
-        used.update((p, q))
-        new_edges.append({(new_id[p[0]], p[1]), (new_id[q[0]], q[1])})
-
-    loop_sorts = []
-    for a in sorted(splice):
-        if a in used:
-            continue
-        sort = g.port_sort(a)
-        q = a
-        while True:
-            used.add(q)
-            used.add(splice[q])
-            assert g.port_sort(q) == sort, "glued chain mixes sorts"
-            q = g.partner(splice[q])
-            if q == a:
-                break
-        loop_sorts.append(sort)
+            used.update((q, splice[q]))
+            q = g._partner[splice[q]]
+        partner[(new_id[p[0]], p[1])] = (new_id[q[0]], q[1])
 
     vertices: dict[int, Label] = {}
     for k, vid in enumerate(kept):
@@ -301,9 +282,19 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
         if isinstance(lab, InterfaceLabel):
             lab = InterfaceLabel(lab.serial - 2 * n, lab.sort)
         vertices[k] = lab
-    for k, sort in enumerate(loop_sorts, start=len(kept)):
-        vertices[k] = LoopLabel(sort)
-    return SigmaGraph(vertices, new_edges)
+    # A chain no kept port reaches closes on itself into a loop.
+    for a in sorted(splice):
+        if a in used:
+            continue
+        vertices[len(vertices)] = LoopLabel(g.port_sort(a))
+        q = a
+        while True:
+            used.update((q, splice[q]))
+            q = g._partner[splice[q]]
+            if q == a:
+                break
+    return _assemble(vertices, partner, tuple(new_id[vid] for vid in ifaces[2 * n :]),
+                     rank[2 * n :])
 
 
 # -- isomorphism -----------------------------------------------------------
@@ -498,6 +489,9 @@ def parse_graph(text: str, alphabet: RankedAlphabet | None = None) -> SigmaGraph
 
     degree: dict[int, int] = {v: 0 for v in raw_vertices}
     for (a, i), (b, j) in raw_edges:
+        for v in (a, b):
+            if v not in degree:
+                raise ValueError(f"edge {a}.{i + 1} {b}.{j + 1}: no vertex {v}")
         degree[a] = max(degree[a], i + 1)
         degree[b] = max(degree[b], j + 1)
 

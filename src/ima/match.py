@@ -10,8 +10,16 @@ only the nodes with an edge into the splitter, and re-queues every piece
 of a split cell but the largest (Hopcroft 1971; Paige & Tarjan, "Three
 partition refinement algorithms", 1987), as McKay & Piperno refine in
 "Practical graph isomorphism II" (2014).  Each node lies in O(log n)
-splitters, so refining m edges sets O(m log n) marks.  The search then
-backtracks over the refined classes, smallest class first.
+splitters, so refining m edges sets O(m log n) marks.
+
+The search individualises and refines, as nauty and bliss do (McKay &
+Piperno 2014; Junttila & Kaski 2007): it maps one node of the smallest
+cell with more than one node a side to each node of the other side in
+that cell in turn, gives the pair a cell of its own, and refines again
+from that cell alone.  An unbalanced cell rejects the choice.  It stops
+when every cell pairs one node of each side; that partition is
+equitable, so the pairs carry the edges onto each other and need no
+check of their own.
 """
 
 from __future__ import annotations
@@ -45,64 +53,50 @@ def find_bijection(
         out[u].append((lab, v))
         inc[v].append((lab, u))
 
+    # A stack frame holds an equitable partition, the side-1 node v it
+    # individualises and the side-2 nodes of v's cell left to try as v's
+    # image; cells list their side-1 nodes first.
     palette: dict = {}
     color = refine(n1, [palette.setdefault(c, len(palette))
-                        for c in (*colors1.values(), *colors2.values())], out, inc)
-    if color is None:
-        return None
-
-    members: dict[int, list[int]] = {}
-    for v in range(n1, len(nodes)):
-        members.setdefault(color[v], []).append(v)
-    order = sorted(range(n1), key=lambda v: (len(members[color[v]]), v))
-    image = [None] * len(nodes)
-    taken = [False] * len(nodes)
-
-    def fits(v: int, w: int) -> bool:
-        """Mapping ``v`` to ``w`` sends every edge of ``v`` whose other end
-        is mapped to an edge."""
-        image[v] = w
-        ok = all(
-            (w, lab, image[x]) in edges[1] for lab, x in out[v] if image[x] is not None
-        ) and all(
-            (image[u], lab, w) in edges[1] for lab, u in inc[v] if image[u] is not None
-        )
-        image[v] = None
-        return ok
-
-    # Each edge is checked once both ends are mapped, so a complete
-    # assignment carries edges1 injectively into edges2; the sets have
-    # equal size, so it carries them onto each other.
-    tries = [iter(members[color[order[0]]])] if order else []
-    k = 0
-    while k < n1:
-        v = order[k]
-        for w in tries[k]:
-            if not taken[w] and fits(v, w):
-                image[v], taken[w] = w, True
-                k += 1
-                if k < n1:
-                    tries.append(iter(members[color[order[k]]]))
-                break
-        else:
-            tries.pop()
-            k -= 1
-            if k < 0:
-                return None
-            taken[image[order[k]]] = False
-            image[order[k]] = None
-    return {nodes[v]: nodes[image[v]] for v in range(n1)}
+                        for c in (*colors1.values(), *colors2.values())],
+                   out, inc, range(len(palette)))
+    stack = []
+    while True:
+        if color is not None:
+            cells: dict[int, list[int]] = {}
+            for v, c in enumerate(color):
+                cells.setdefault(c, []).append(v)
+            target = min((cell for cell in cells.values() if len(cell) > 2),
+                         key=len, default=None)
+            if target is None:
+                # Every cell pairs one node of each side, and the partition
+                # is equitable, so the pairs carry edges1 onto edges2.
+                return {nodes[v]: nodes[w] for v, w in cells.values()}
+            stack.append((color, target[0], iter(target[len(target) // 2:])))
+        while stack and (w := next(stack[-1][2], None)) is None:
+            stack.pop()
+        if not stack:
+            return None
+        parent, v, _ = stack[-1]
+        # The fresh cell {v, w} splits one cell of an equitable partition,
+        # so it is the only splitter the rest needs.
+        fresh = max(parent) + 1
+        color = list(parent)
+        color[v] = color[w] = fresh
+        color = refine(n1, color, out, inc, [fresh])
 
 
-def refine(n1: int, color: list[int], out: list[list], inc: list[list]) -> list[int] | None:
+def refine(n1: int, color: list[int], out: list[list], inc: list[list],
+           splitters: Iterable[int]) -> list[int] | None:
     """The coarsest equitable partition that refines the colours
     ``color`` (integers from 0) of the nodes ``0 .. len(color) - 1``, as
     one cell number per node: any two nodes of a cell have the same
-    multiset of (direction, label) edges into every cell.  ``out[u]`` and
-    ``inc[u]`` list the ``(label, node)`` ends of the edges leaving and
-    entering ``u``, labels integers.  The nodes below ``n1`` are one side,
-    the others the other side; ``None`` when a cell holds unequal numbers
-    of nodes from the two sides."""
+    multiset of (direction, label) edges into every cell.  Only the cells
+    ``splitters`` names are queued, so every other cell must already split
+    no cell.  ``out[u]`` and ``inc[u]`` list the ``(label, node)`` ends of
+    the edges leaving and entering ``u``, labels integers.  The nodes below
+    ``n1`` are one side, the others the other side; ``None`` when a cell
+    holds unequal numbers of nodes from the two sides."""
     # A bijection maps every cell of the partition onto itself, so every
     # cell must hold as many nodes of one side as of the other.
     def balanced(cell: Collection[int]) -> bool:
@@ -120,8 +114,10 @@ def refine(n1: int, color: list[int], out: list[list], inc: list[list]) -> list[
     # edge into S are visited.  A piece need not be queued when its cell
     # has already split the others and is not queued again: the marks into
     # it are those into the cell less those into the other pieces.
-    queue = list(range(len(cells)))
-    queued = [True] * len(cells)
+    queue = list(splitters)
+    queued = [False] * len(cells)
+    for s in queue:
+        queued[s] = True
     while queue:
         s = queue.pop()
         queued[s] = False

@@ -359,6 +359,18 @@ def test_simulate_rejects_unknown_state(machine_files, capsys):
     assert err == "error: state {'a': 1} unknown at vertex 0\n"
 
 
+def test_simulate_rejects_a_state_document_that_is_a_list(machine_files, capsys):
+    code, out, err = simulate(capsys, machine_files, "m.json", [1], "1", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: state file: the document must be an object, not [1]\n"
+
+
+def test_simulate_rejects_a_state_key_that_is_not_a_vertex_id(machine_files, capsys):
+    code, out, err = simulate(capsys, machine_files, "m.json", {"x": 1}, "1", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: state file: key 'x' is not a vertex id\n"
+
+
 @pytest.mark.parametrize("frm, to", [("7", "1"), ("1", "7"), ("*", "7")])
 def test_simulate_rejects_unknown_interface(machine_files, capsys, frm, to):
     code, out, err = simulate(capsys, machine_files, "m.json", {"0": 1}, frm, to)
@@ -417,6 +429,14 @@ def test_export_dot_rejects_serial_gap(tmp_path, capsys):
     code, out, err = run(capsys, "export-dot", str(f))
     assert code == 2 and not out
     assert err == "error: interface serials [1, 3] have gaps\n"
+
+
+def test_export_dot_names_an_edge_to_an_unknown_vertex(tmp_path, capsys):
+    f = tmp_path / "stray.graph"
+    f.write_text("vertex 0 in:1:A\nvertex 1 in:2:A\nedge 0.1 5.1\n")
+    code, out, err = run(capsys, "export-dot", str(f))
+    assert code == 2 and not out
+    assert err == "error: edge 0.1 5.1: no vertex 5\n"
 
 
 def test_axioms_pass(capsys):

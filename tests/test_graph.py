@@ -119,7 +119,7 @@ def assert_well_formed(g):
 
 
 def test_operation_results_are_well_formed():
-    # sum and reindex build their results without the constructor's checks
+    # sum, reindex and trace build their results without the constructor's checks
     rng = random.Random(11)
     for _ in range(300):
         w = random_obj(rng)
@@ -132,7 +132,7 @@ def test_operation_results_are_well_formed():
 
 
 def test_edges_are_the_partner_map():
-    # sum and reindex store only the partner map; ``edges`` is derived from it
+    # sum, reindex and trace store only the partner map; ``edges`` is derived from it
     rng = random.Random(12)
     for _ in range(200):
         w = random_obj(rng)
@@ -342,6 +342,65 @@ def test_trace_simultaneous_equals_sequential():
     sequential = trace(trace(reindex(arranged, rearrange), A), B)
     assert at_once.rank_word() == sequential.rank_word() == Obj.parse("ABAB")
     assert isomorphic(at_once, sequential)
+
+
+def checked_trace(g, w):
+    """``trace`` as it was before it built its result on the partner map:
+    one edge set, rebuilt through the checked constructor."""
+    n = len(w)
+    ifaces = g.interface_vertices()
+    splice = {}
+    for i in range(1, n + 1):
+        a, b = (ifaces[i], 0), (ifaces[n + i], 0)
+        splice[a], splice[b] = b, a
+    deleted = {p[0] for p in splice}
+    kept = sorted(vid for vid in g.vertices if vid not in deleted)
+    new_id = {vid: k for k, vid in enumerate(kept)}
+    new_edges, used = [], set()
+    for p in ((vid, i) for vid in kept for i in range(len(g.ports_of(vid)))):
+        if p in used:
+            continue
+        q = g.partner(p)
+        while q in splice:
+            used.update((q, splice[q]))
+            q = g.partner(splice[q])
+        used.update((p, q))
+        new_edges.append({(new_id[p[0]], p[1]), (new_id[q[0]], q[1])})
+    loop_sorts = []
+    for a in sorted(splice):
+        if a in used:
+            continue
+        q = a
+        while True:
+            used.update((q, splice[q]))
+            q = g.partner(splice[q])
+            if q == a:
+                break
+        loop_sorts.append(g.port_sort(a))
+    vertices = {}
+    for k, vid in enumerate(kept):
+        lab = g.vertices[vid]
+        if isinstance(lab, InterfaceLabel):
+            lab = InterfaceLabel(lab.serial - 2 * n, lab.sort)
+        vertices[k] = lab
+    for k, sort in enumerate(loop_sorts, start=len(kept)):
+        vertices[k] = LoopLabel(sort)
+    return SigmaGraph(vertices, new_edges)
+
+
+def test_trace_equals_the_checked_rebuild():
+    loops = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        w = random_obj(rng, 3)
+        g = sum_graphs(random_graph(rng, w + w + random_obj(rng)), random_graph(rng, random_obj(rng)))
+        got, want = trace(g, w), checked_trace(g, w)
+        assert format_graph(got) == format_graph(want), seed
+        assert got.interface_vertices() == want.interface_vertices(), seed
+        assert got.rank_word() == want.rank_word(), seed
+        assert got._partner == want._partner, seed
+        loops += bool(want.loop_vertices())
+    assert loops > 100
 
 
 # -- derived composition and tensor -----------------------------------------------

@@ -6,14 +6,19 @@ queue replaced."""
 
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
+import ima
 from ima import laws, match
 from ima.automata import ANCHOR, TuringAutomaton, equivalent_automata, sum_automata
 from ima.graph import (
@@ -232,21 +237,40 @@ def round_based_find_bijection(colors1, edges1, colors2, edges2):
     return {nodes[v]: nodes[image[v]] for v in range(n1)}
 
 
-def checked_find_bijection(colors1, edges1, colors2, edges2):
-    """``find_bijection``, checked against the round-based matcher."""
+def carries_edges(got, colors1, edges1, colors2, edges2) -> bool:
+    """``got`` is a colour-preserving bijection of the nodes that carries
+    ``edges1`` exactly onto ``edges2``."""
+    return (
+        got.keys() == colors1.keys()
+        and set(got.values()) == colors2.keys()
+        and len(got) == len(colors2)
+        and all(colors1[v] == colors2[w] for v, w in got.items())
+        and {(got[u], lab, got[v]) for u, lab, v in edges1} == set(edges2)
+    )
+
+
+def valid_find_bijection(colors1, edges1, colors2, edges2):
+    """``find_bijection``, with any map it returns checked."""
     edges1, edges2 = list(edges1), list(edges2)
     got = match.find_bijection(colors1, edges1, colors2, edges2)
-    assert got == round_based_find_bijection(colors1, edges1, colors2, edges2)
+    assert got is None or carries_edges(got, colors1, edges1, colors2, edges2)
     return got
 
 
-def automaton_sum(rng: random.Random) -> TuringAutomaton:
-    """A sum of at most three random automata, one of them repeated, so
-    product states fall into classes of alike states.  The search does
-    not refine after each choice, so symmetric sums of three 3-state
-    automata (27 product states) can take either matcher tens of seconds;
-    at most 2 states a summand keeps every sum at 8 states or fewer."""
-    parts = [laws.random_automaton(rng, laws.random_obj(rng, 2), max_states=2,
+def checked_find_bijection(colors1, edges1, colors2, edges2):
+    """``find_bijection``, checked against the round-based matcher: the
+    first bijection each finds may differ, but not whether there is one."""
+    edges1, edges2 = list(edges1), list(edges2)
+    got = valid_find_bijection(colors1, edges1, colors2, edges2)
+    assert (got is None) == (round_based_find_bijection(colors1, edges1, colors2, edges2) is None)
+    return got
+
+
+def automaton_sum(rng: random.Random, max_states: int) -> TuringAutomaton:
+    """A sum of at most three random automata of at most ``max_states``
+    states each, one of them repeated, so product states fall into classes
+    of alike states."""
+    parts = [laws.random_automaton(rng, laws.random_obj(rng, 2), max_states=max_states,
                                    density=rng.randint(0, 6))
              for _ in range(rng.randint(1, 2))]
     parts.append(parts[0])
@@ -256,27 +280,79 @@ def automaton_sum(rng: random.Random) -> TuringAutomaton:
     return t
 
 
+def drawn_pairs(rng: random.Random, max_states: int):
+    """Pairs for the matcher.  Graphs: a random graph with a shuffled copy,
+    a tape with a shuffled copy, the random graph with another random graph
+    and with a shuffled edge-swapped copy, and the tape with a shuffled
+    edge-swapped copy.  Automata: a sum with a relabelled copy, with a
+    relabelled copy with one transition changed, and with another sum.  So
+    the first two graph pairs and the first automaton pair are isomorphic."""
+    g = random_graph(rng)
+    swapped = edge_swapped(g, rng)
+    graphs = [(g, h) for h in (shuffled(g, rng), random_graph(rng),
+                               swapped and shuffled(swapped, rng)) if h is not None]
+    tape = tape_graph(rng.randint(1, 40))
+    graphs.insert(1, (tape, shuffled(tape, rng)))
+    swapped = edge_swapped(tape, rng)
+    if swapped is not None:
+        graphs.append((tape, shuffled(swapped, rng)))
+    t = automaton_sum(rng, max_states)
+    automata = [(t, u) for u in (relabelled(t, rng), relabelled(one_transition_changed(t, rng), rng),
+                                 automaton_sum(rng, max_states))]
+    return graphs, automata
+
+
+def matched_with(matcher, graphs, automata):
+    """``isomorphic`` of each graph pair and ``equivalent_automata`` of each
+    automaton pair, with ``matcher`` in place of ``find_bijection``."""
+    with mock.patch("ima.graph.find_bijection", wraps=matcher) as in_graph, \
+            mock.patch("ima.automata.find_bijection", wraps=matcher) as in_automata:
+        results = ([isomorphic(g, h) for g, h in graphs],
+                   [equivalent_automata(t, u) for t, u in automata])
+    assert in_graph.called and in_automata.called
+    return results
+
+
 @settings(max_examples=100, deadline=None)
 @given(SEEDS)
 def test_splitter_queue_equals_round_based(seed):
-    rng = random.Random(seed)
-    with mock.patch("ima.graph.find_bijection", wraps=checked_find_bijection) as in_graph, \
-            mock.patch("ima.automata.find_bijection", wraps=checked_find_bijection) as in_automata:
-        g = random_graph(rng)
-        swapped = edge_swapped(g, rng)
-        for h in (shuffled(g, rng), random_graph(rng), swapped and shuffled(swapped, rng)):
-            if h is not None:
-                isomorphic(g, h)
-        tape = tape_graph(rng.randint(1, 40))
-        isomorphic(tape, shuffled(tape, rng))
-        swapped = edge_swapped(tape, rng)
-        if swapped is not None:
-            isomorphic(tape, shuffled(swapped, rng))
-        t = automaton_sum(rng)
-        for u in (relabelled(t, rng), relabelled(one_transition_changed(t, rng), rng),
-                  automaton_sum(rng)):
-            equivalent_automata(t, u)
-    assert in_graph.called and in_automata.called
+    # the round-based copy backtracks without refining after each choice,
+    # so it is compared only on sums of summands of at most 2 states
+    graphs, automata = matched_with(checked_find_bijection, *drawn_pairs(random.Random(seed), 2))
+    assert graphs[0] and graphs[1] and automata[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_find_bijection_on_sums_of_three_state_summands(seed):
+    # up to 27 alike product states
+    graphs, automata = matched_with(valid_find_bijection, *drawn_pairs(random.Random(seed), 3))
+    assert graphs[0] and graphs[1] and automata[0]
+
+
+# The 27-state sum that seed 21 draws and its relabelled copy, timed in a
+# fresh process, since the hash seed orders the states and so the choices.
+SEED_21_PAIR = """
+import random, time
+from ima.automata import equivalent_automata
+from test_match import drawn_pairs
+t, u = drawn_pairs(random.Random(21), 3)[1][0]
+start = time.perf_counter()
+assert equivalent_automata(t, u)
+print(len(t.states), time.perf_counter() - start)
+"""
+
+
+def test_seed_21_pair_is_fast_under_every_hash_seed():
+    # a search that did not refine after each choice took 0.1 s on it
+    # under hash seed 1 and about 20 s under hash seeds 2 and 3
+    path = os.pathsep.join([str(Path(__file__).parent), str(Path(ima.__file__).parents[1])])
+    for hash_seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", SEED_21_PAIR], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        states, seconds = run.stdout.split()
+        assert states == "27" and float(seconds) < 0.5, (hash_seed, seconds)
 
 
 def stable_colouring(color: list[int], out: list[list], inc: list[list]) -> list[int]:
@@ -333,7 +409,7 @@ def test_refine_gives_the_coarsest_equitable_partition():
             inc[v].append((lab, u))
         want = stable_colouring(color, out, inc)
         balanced = all(2 * sum(v >= n for v in cell) == len(cell) for cell in cells_of(want))
-        got = match.refine(n, color, out, inc)
+        got = match.refine(n, color, out, inc, set(color))
         if balanced:
             assert got is not None and cells_of(got) == cells_of(want), seed
         else:

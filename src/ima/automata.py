@@ -6,16 +6,24 @@ pairs, where a position is either an index into the interface word or the
 distinguished anchor ``"*"``.  The anchor is never renamed, summed over or
 traced; it lets automata of empty sort keep transitions.
 
-Trace is computed by the Kleene-style elimination of interface pairs: for
-each glued pair the surviving transitions are extended by chains that
-alternate through the pair, expressed with an alternating matrix product
-over the semiring of binary relations on the state set.
+An automaton is stored as a table: its states are numbered by the tuple
+``names``, and ``table`` maps each (entry, exit) position pair to the
+binary relation on state numbers that its transitions form, keeping only
+the non-empty relations.  The operations work on the table alone.  Sum is
+the Kronecker sum of the two tables (``R ⊗ I`` for the left summand's
+moves, ``I ⊗ R`` for the right's), reindex renames table keys and shares
+the relations, and trace is the Kleene-style elimination of interface
+pairs: for each glued pair the surviving entries are extended by chains
+that alternate through the pair, expressed with an alternating matrix
+product over the semiring of binary relations on the state set.  The
+``states`` and ``delta`` sets are views decoded from the table on first
+read.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidArity, RankMismatch
@@ -87,10 +95,7 @@ class Rel:
 
 
 Mat = tuple[tuple[Rel, ...], ...]  # rows of relations
-
-# the table driving the pair elimination: one relation per surviving
-# interface pair (anchor included), total on its index set
-LambdaTable = dict[tuple[Pos, Pos], Rel]
+Table = dict[tuple[Pos, Pos], Rel]
 
 
 def _mat_mul(u: Mat, v: Mat) -> Mat:
@@ -137,29 +142,75 @@ def alt_star(u: Mat) -> Mat:
 # -- automata -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TuringAutomaton:
-    iface: Obj
-    states: frozenset
-    delta: frozenset  # of Transition
+def _in_range(z: Pos, n: int) -> bool:
+    return z == ANCHOR or (isinstance(z, int) and 1 <= z <= n)
 
-    def __post_init__(self):
-        if not self.states:
+
+class TuringAutomaton:
+    """``TuringAutomaton(iface, states, delta)`` checks its transitions
+    once and groups them into ``table``; the operations below assemble
+    their results from parts that are checked already.  ``==`` and
+    ``hash`` compare the interface, ``states`` and ``delta``."""
+
+    def __init__(self, iface: Obj, states: Iterable, delta: Iterable[Transition]):
+        states, delta = frozenset(states), frozenset(delta)
+        if not states:
             raise ValueError("state set must be nonempty")
-        n = len(self.iface)
-        for (q, x), (r, y) in self.delta:
+        names = tuple(states)
+        index = {q: i for i, q in enumerate(names)}
+        n = len(iface)
+        grouped: dict[tuple[Pos, Pos], list[tuple[int, int]]] = {}
+        for (q, x), (r, y) in delta:
             for s in (q, r):
-                if s not in self.states:
+                if s not in index:
                     raise ValueError(f"transition mentions unknown state {s!r}")
             for z in (x, y):
                 if z != ANCHOR and not (isinstance(z, int) and 1 <= z <= n):
                     raise ValueError(f"position {z!r} outside interface of size {n}")
+            grouped.setdefault((x, y), []).append((index[q], index[r]))
+        self.iface, self.names = iface, names
+        self.table = {xy: Rel.from_pairs(len(names), pairs) for xy, pairs in grouped.items()}
+        # the checked sets are the views: nothing to decode later
+        self.__dict__.update(states=states, delta=delta)
+
+    @classmethod
+    def _assemble(cls, iface: Obj, names: tuple, table: Table) -> "TuringAutomaton":
+        """An automaton from checked states and non-empty relations; only
+        the keys and the relation sizes are checked."""
+        n, size = len(iface), len(names)
+        for (x, y), rel in table.items():
+            if rel.size != size or not (_in_range(x, n) and _in_range(y, n)):
+                raise ValueError(f"table entry {(x, y)!r} does not fit {iface} over {size} states")
+        t = object.__new__(cls)
+        t.iface, t.names, t.table = iface, names, table
+        return t
+
+    @cached_property
+    def states(self) -> frozenset:
+        return frozenset(self.names)
+
+    @cached_property
+    def delta(self) -> frozenset:
+        return _decode(self.names, self.table)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.iface, self.states, self.delta) == (other.iface, other.states, other.delta)
+
+    def __hash__(self):
+        return hash((self.iface, self.states, self.delta))
 
     def __repr__(self):
-        return (
-            f"<TuringAutomaton {self.iface} |Q|={len(self.states)} "
-            f"|delta|={len(self.delta)}>"
-        )
+        count = sum(row.bit_count() for rel in self.table.values() for row in rel.rows)
+        return f"<TuringAutomaton {self.iface} |Q|={len(self.names)} |delta|={count}>"
+
+
+def _decode(names: tuple, table: Table) -> frozenset:
+    """The transition set of a table over the numbered states ``names``."""
+    return frozenset(
+        ((names[i], x), (names[j], y)) for (x, y), rel in table.items() for i, j in rel.pairs()
+    )
 
 
 def identity_automaton(w: Obj) -> TuringAutomaton:
@@ -174,34 +225,46 @@ def identity_automaton(w: Obj) -> TuringAutomaton:
 
 
 def reindex_automaton(t: TuringAutomaton, rho: PermSymbol) -> TuringAutomaton:
+    """Renames the table keys; the relations are shared."""
     if rho.dom != t.iface:
         raise RankMismatch(f"reindex: automaton iface {t.iface}, symbol domain {rho.dom}")
-    sends = rho.flatten()
+    move: dict[Pos, Pos] = {i: s + 1 for i, s in enumerate(rho.flatten(), start=1)}
+    move[ANCHOR] = ANCHOR
+    table = {(move[x], move[y]): rel for (x, y), rel in t.table.items()}
+    return TuringAutomaton._assemble(rho.cod, t.names, table)
 
-    def move(x: Pos) -> Pos:
-        return x if x == ANCHOR else sends[x - 1] + 1
 
-    delta = frozenset(((q, move(x)), (r, move(y))) for (q, x), (r, y) in t.delta)
-    return TuringAutomaton(rho.cod, t.states, delta)
+def _spread(row: int, stride: int) -> int:
+    """Bit j of ``row`` moved to bit j * stride."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= 1 << (low.bit_length() - 1) * stride
+        row ^= low
+    return out
 
 
 def sum_automata(t1: TuringAutomaton, t2: TuringAutomaton) -> TuringAutomaton:
     """Product states; each summand fires alone, the other state component
-    rides along unchanged.  Applies to anchor moves as well."""
+    rides along unchanged.  Applies to anchor moves as well.
+
+    State ``(q1, q2)`` is number ``i * |Q2| + j`` when ``q1`` and ``q2``
+    are numbers ``i`` and ``j``, so the left summand's relations become
+    ``R ⊗ I`` and the right's ``I ⊗ R``.  Only the anchor-to-anchor entry
+    can come from both; it is their union."""
+    n1, n2 = len(t1.names), len(t2.names)
+    size = n1 * n2
+    table: Table = {}
+    for xy, rel in t1.table.items():
+        spread = [_spread(row, n2) for row in rel.rows]
+        table[xy] = Rel(size, tuple(s << j for s in spread for j in range(n2)))
     shift = len(t1.iface)
-
-    def move(x: Pos) -> Pos:
-        return x if x == ANCHOR else x + shift
-
-    delta = set()
-    for (q, x), (r, y) in t1.delta:
-        for q2 in t2.states:
-            delta.add((((q, q2), x), ((r, q2), y)))
-    for (q2, x), (r2, y) in t2.delta:
-        for q in t1.states:
-            delta.add((((q, q2), move(x)), ((q, r2), move(y))))
-    states = frozenset(itertools.product(t1.states, t2.states))
-    return TuringAutomaton(t1.iface + t2.iface, states, frozenset(delta))
+    for (x, y), rel in t2.table.items():
+        xy = (x if x == ANCHOR else x + shift, y if y == ANCHOR else y + shift)
+        moved = Rel(size, tuple(row << i * n2 for i in range(n1) for row in rel.rows))
+        table[xy] = table[xy].union(moved) if xy in table else moved
+    names = tuple((q1, q2) for q1 in t1.names for q2 in t2.names)
+    return TuringAutomaton._assemble(t1.iface + t2.iface, names, table)
 
 
 def trace_automaton(
@@ -223,20 +286,12 @@ def trace_automaton(
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order {order} is not a permutation of 1..{n}")
 
-    states = list(t.states)
-    index = {q: i for i, q in enumerate(states)}
-    size = len(states)
-    total = len(t.iface)
-
-    keys: list[Pos] = list(range(1, total + 1)) + [ANCHOR]
-    table: LambdaTable = {
-        (x, y): Rel.empty(size) for x in keys for y in keys
-    }
-    grouped: dict[tuple[Pos, Pos], list[tuple[int, int]]] = {}
-    for (q, x), (r, y) in t.delta:
-        grouped.setdefault((x, y), []).append((index[q], index[r]))
-    for xy, pairs in grouped.items():
-        table[xy] = Rel.from_pairs(size, pairs)
+    # the elimination runs on the dense table over the surviving positions
+    # and the anchor; every absent entry is one shared empty relation
+    empty = Rel.empty(len(t.names))
+    keys: list[Pos] = list(range(1, len(t.iface) + 1)) + [ANCHOR]
+    entry = t.table.get
+    table: Table = {(x, y): entry((x, y), empty) for x in keys for y in keys}
 
     for i in order:
         z1, z2 = i, n + i
@@ -261,28 +316,18 @@ def trace_automaton(
     def rename(x: Pos) -> Pos:
         return x if x == ANCHOR else x - 2 * n
 
-    delta = set()
-    for (x, y), rel in table.items():
-        for qi, ri in rel.pairs():
-            delta.add(((states[qi], rename(x)), (states[ri], rename(y))))
-    return TuringAutomaton(t.iface[2 * n :], t.states, frozenset(delta))
+    kept = {(rename(x), rename(y)): rel for (x, y), rel in table.items() if any(rel.rows)}
+    return TuringAutomaton._assemble(t.iface[2 * n :], t.names, kept)
 
 
 def reverse(t: TuringAutomaton) -> TuringAutomaton:
-    return TuringAutomaton(
-        t.iface, t.states, frozenset((b, a) for a, b in t.delta)
-    )
+    table = {(y, x): rel.converse() for (x, y), rel in t.table.items()}
+    return TuringAutomaton._assemble(t.iface, t.names, table)
 
 
 def is_deterministic(t: TuringAutomaton) -> bool:
     """At most one next state for each (state, entry, exit) triple."""
-    seen = set()
-    for (q, x), (r, y) in t.delta:
-        key = (q, x, y)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    return all(row & (row - 1) == 0 for rel in t.table.values() for row in rel.rows)
 
 
 def atomic_switch(n: int, sort: Sort = Sort("1")) -> TuringAutomaton:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import perm
-from .errors import RankMismatch, UnknownSymbol
+from .errors import ImaError, RankMismatch, UnknownSymbol
 from .match import find_bijection
 from .perm import Obj, PermSymbol, Sort
 
@@ -458,6 +458,14 @@ def format_graph(g: SigmaGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_graph(text: str, alphabet: RankedAlphabet | None = None) -> SigmaGraph:
     """Read the ``graph/vertex/edge`` format.
 
@@ -477,11 +485,17 @@ def parse_graph(text: str, alphabet: RankedAlphabet | None = None) -> SigmaGraph
         if parts[0] == "graph" and len(parts) == 2:
             rank_decl = Obj.parse(parts[1])
         elif parts[0] == "vertex" and len(parts) == 3:
+            if not _is_int(parts[1]):
+                raise ImaError(f"line {lineno}: vertex id {parts[1]!r} is not an integer")
             raw_vertices[int(parts[1])] = parts[2]
         elif parts[0] == "edge" and len(parts) == 3:
             ends = []
             for token in parts[1:]:
-                vid, port = token.split(".")
+                vid, _, port = token.partition(".")
+                if not (_is_int(vid) and _is_int(port) and int(port) >= 1):
+                    raise ImaError(
+                        f"line {lineno}: edge end {token!r} is not <vertex id>.<port from 1>"
+                    )
                 ends.append((int(vid), int(port) - 1))
             raw_edges.append((ends[0], ends[1]))
         else:
@@ -502,6 +516,8 @@ def parse_graph(text: str, alphabet: RankedAlphabet | None = None) -> SigmaGraph
         kind, _, rest = text_label.partition(":")
         if kind == "in":
             serial, _, sortname = rest.partition(":")
+            if not _is_int(serial):
+                raise ImaError(f"vertex {vid}: serial {serial!r} of {text_label!r} is not an integer")
             lab = InterfaceLabel(int(serial), Sort(sortname))
             known[(vid, 0)] = lab.sort
             vertices[vid] = lab

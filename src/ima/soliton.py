@@ -22,7 +22,7 @@ from .dflow import (
     alternating_switch,
     enumerate_walks,
 )
-from .errors import BadLabel, NotInternalEdge
+from .errors import BadLabel, ImaError, NotInternalEdge
 from .graph import DEFAULT_SORT, InterfaceLabel, SigmaGraph, SymbolLabel
 from .perm import Obj
 
@@ -238,27 +238,40 @@ def parse_plain_state(
     text: str, g: SigmaGraph, ids: dict[str, int]
 ) -> dict[int, int]:
     """One selected port per internal vertex: ``<vertex> <port>`` with a
-    1-based port, or ``<vertex> -> <neighbor>`` naming the edge."""
+    1-based port, or ``<vertex> -> <neighbor>`` naming the edge.  A name
+    that is no internal vertex, or a port that is not one of the vertex's,
+    raises ``ImaError`` naming the line and the token."""
     q: dict[int, int] = {}
     names = {v: k for k, v in ids.items()}
+    internal = set(g.internal_vertices())
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) == 3 and parts[1] == "->":
-            vid, other = ids[parts[0]], ids[parts[2]]
-            for port in range(len(g.ports_of(vid))):
+        if len(parts) not in (2, 3) or (len(parts) == 3 and parts[1] != "->"):
+            raise ValueError(f"line {lineno}: cannot parse {line!r}")
+        vid = ids.get(parts[0])
+        if vid not in internal:
+            raise ImaError(f"line {lineno}: no internal vertex {parts[0]!r}")
+        degree = len(g.ports_of(vid))
+        if len(parts) == 3:
+            other = ids.get(parts[2])
+            for port in range(degree):
                 if g.partner((vid, port))[0] == other:
                     q[vid] = port
                     break
             else:
                 raise ValueError(f"line {lineno}: no edge {parts[0]} -> {parts[2]}")
-        elif len(parts) == 2:
-            q[ids[parts[0]]] = int(parts[1]) - 1
         else:
-            raise ValueError(f"line {lineno}: cannot parse {line!r}")
-    missing = set(g.internal_vertices()) - set(q)
+            port = int(parts[1]) if parts[1].isdecimal() else 0
+            if not 1 <= port <= degree:
+                raise ImaError(
+                    f"line {lineno}: port {parts[1]!r} of vertex {parts[0]!r} "
+                    f"is not one of 1..{degree}"
+                )
+            q[vid] = port - 1
+    missing = internal - set(q)
     if missing:
         raise ValueError(f"no selected port for {sorted(names[v] for v in missing)}")
     return q

@@ -22,9 +22,10 @@ from ima.automata import (
     sum_automata,
     trace_automaton,
 )
-from ima import laws
+from ima import automata, dflow, laws
 from ima.algebra import compose_in, tensor_in
 from ima.perm import Obj, block_transposition, compose, identity
+from test_dflow import differential_machines
 
 A = Obj.parse("A")
 B = Obj.parse("B")
@@ -441,3 +442,145 @@ def test_broken_alternation_changes_trace():
     w = A
     assert ((0, 1), (2, 1)) in good.trace(w, t).delta
     assert ((0, 1), (2, 1)) not in broken.trace(w, t).delta
+
+
+# -- differential: the table form against the transition-set construction ----------------------
+
+# Copies of the operations as they were when an automaton was a frozenset of
+# transitions: each reads ``states`` and ``delta`` and builds its result
+# transition by transition through the public constructor.
+
+def set_identity(w):
+    n = len(w)
+    delta = {((0, i), (0, n + i)) for i in range(1, n + 1)}
+    delta |= {((0, n + i), (0, i)) for i in range(1, n + 1)}
+    return TuringAutomaton(w + w, frozenset({0}), frozenset(delta))
+
+
+def set_reindex(t, rho):
+    if rho.dom != t.iface:
+        raise RankMismatch(f"reindex: automaton iface {t.iface}, symbol domain {rho.dom}")
+    sends = rho.flatten()
+
+    def move(x):
+        return x if x == ANCHOR else sends[x - 1] + 1
+
+    delta = frozenset(((q, move(x)), (r, move(y))) for (q, x), (r, y) in t.delta)
+    return TuringAutomaton(rho.cod, t.states, delta)
+
+
+def set_sum(t1, t2):
+    shift = len(t1.iface)
+
+    def move(x):
+        return x if x == ANCHOR else x + shift
+
+    delta = set()
+    for (q, x), (r, y) in t1.delta:
+        for q2 in t2.states:
+            delta.add((((q, q2), x), ((r, q2), y)))
+    for (q2, x), (r2, y) in t2.delta:
+        for q in t1.states:
+            delta.add((((q, q2), move(x)), ((q, r2), move(y))))
+    states = frozenset(itertools.product(t1.states, t2.states))
+    return TuringAutomaton(t1.iface + t2.iface, states, frozenset(delta))
+
+
+def set_trace(t, w, order=None):
+    n = len(w)
+    if t.iface[: 2 * n] != w + w:
+        raise RankMismatch(f"trace: iface {t.iface} does not start with {w}{w}")
+    order = list(range(1, n + 1) if order is None else order)
+    states = list(t.states)
+    index = {q: i for i, q in enumerate(states)}
+    size = len(states)
+    keys = list(range(1, len(t.iface) + 1)) + [ANCHOR]
+    table = {(x, y): Rel.empty(size) for x in keys for y in keys}
+    grouped = {}
+    for (q, x), (r, y) in t.delta:
+        grouped.setdefault((x, y), []).append((index[q], index[r]))
+    for xy, pairs in grouped.items():
+        table[xy] = Rel.from_pairs(size, pairs)
+    for i in order:
+        z1, z2 = i, n + i
+        star = alt_star(((table[(z1, z1)], table[(z1, z2)]), (table[(z2, z1)], table[(z2, z2)])))
+        keys = [k for k in keys if k not in (z1, z2)]
+        row_through = {x: alt_product(((table[(x, z1)], table[(x, z2)]),), star) for x in keys}
+        table = {
+            (x, y): table[(x, y)].union(
+                alt_product(row_through[x], ((table[(z1, y)],), (table[(z2, y)],)))[0][0]
+            )
+            for x in keys
+            for y in keys
+        }
+
+    def rename(x):
+        return x if x == ANCHOR else x - 2 * n
+
+    delta = {
+        ((states[qi], rename(x)), (states[ri], rename(y)))
+        for (x, y), rel in table.items()
+        for qi, ri in rel.pairs()
+    }
+    return TuringAutomaton(t.iface[2 * n :], t.states, frozenset(delta))
+
+
+def assert_same(got, want):
+    assert got.iface == want.iface
+    assert got.states == want.states
+    assert got.delta == want.delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_table_operations_equal_transition_set_operations(seed):
+    rng = random.Random(seed)
+    w = laws.random_obj(rng, 2)
+    assert_same(identity_automaton(w), set_identity(w))
+    a = laws.random_automaton(rng, w + w + laws.random_obj(rng, 2))
+    b = laws.random_automaton(rng, laws.random_obj(rng, 3))
+    # each operation applied to the table form's own results and to the
+    # copy's, so the tables that sum and trace read come from the
+    # operations as well as from the constructor
+    got, want = sum_automata(a, b), set_sum(a, b)
+    assert_same(got, want)
+    rho = laws.random_symbol_on(rng, got.iface)
+    got, want = reindex_automaton(got, rho), set_reindex(want, rho)
+    assert_same(got, want)
+    got, want = sum_automata(identity_automaton(w), got), set_sum(set_identity(w), want)
+    assert_same(got, want)
+    got, want = trace_automaton(got, w), set_trace(want, w)
+    assert_same(got, want)
+    assert_same(trace_automaton(a, w), set_trace(a, w))
+    assert got == want and hash(got) == hash(want)
+
+
+def test_evaluate_equals_transition_set_fold(monkeypatch):
+    machines = differential_machines()
+    with monkeypatch.context() as patched:
+        for name, fn in (("identity_automaton", set_identity), ("sum_automata", set_sum),
+                         ("reindex_automaton", set_reindex), ("trace_automaton", set_trace)):
+            patched.setattr(dflow, name, fn)
+        want = [dflow.evaluate(m) for m in machines]
+    for m, w in zip(machines, want):
+        got = dflow.evaluate(m)
+        assert_same(got.base, w.base)
+        assert got == w
+
+
+# -- the fold decodes transitions only when they are read ------------------------------------
+
+def test_evaluate_decodes_no_intermediate_delta(monkeypatch):
+    decoded = []
+
+    def spy(names, table):
+        decoded.append(len(names))
+        return decode(names, table)
+
+    decode = automata._decode
+    monkeypatch.setattr(automata, "_decode", spy)
+    got = dflow.evaluate(dflow.tm_encode(dflow.unary_increment_tm(), 6)).base
+    assert decoded == []
+    assert len(got.delta) > 0 and decoded == [len(got.names)]
+    got.delta
+    assert len(decoded) == 1

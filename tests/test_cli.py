@@ -416,6 +416,21 @@ def test_soliton_needs_arguments(soliton_files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("state, message", [
+    ("u -> v\nzz 1\n", "line 2: no internal vertex 'zz'"),
+    ("u x\nv -> u\n", "line 1: port 'x' of vertex 'u' is not one of 1..2"),
+    ("u 7\nv -> u\n", "line 1: port '7' of vertex 'u' is not one of 1..2"),
+])
+def test_soliton_state_file_names_the_line_and_token(soliton_files, capsys, state, message):
+    (soliton_files / "bad.txt").write_text(state)
+    code, out, err = run(
+        capsys, "soliton", "--graph", str(soliton_files / "g.txt"),
+        "--state", str(soliton_files / "bad.txt"), "--walk", "1,2",
+    )
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_export_dot(machine_files, capsys):
     code, out, _ = run(capsys, "export-dot", str(machine_files / "path.graph"))
     assert code == 0
@@ -437,6 +452,21 @@ def test_export_dot_names_an_edge_to_an_unknown_vertex(tmp_path, capsys):
     code, out, err = run(capsys, "export-dot", str(f))
     assert code == 2 and not out
     assert err == "error: edge 0.1 5.1: no vertex 5\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertex x in:1:A\n", "line 1: vertex id 'x' is not an integer"),
+    ("vertex 0 in:1:A\nvertex 1 in:2:A\nedge 0.a 1.1\n",
+     "line 3: edge end '0.a' is not <vertex id>.<port from 1>"),
+    ("vertex 0 in:x:A\nvertex 1 in:2:A\nedge 0.1 1.1\n",
+     "vertex 0: serial 'x' of 'in:x:A' is not an integer"),
+])
+def test_export_dot_names_a_bad_number(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.graph"
+    f.write_text(text)
+    code, out, err = run(capsys, "export-dot", str(f))
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
 
 
 def test_axioms_pass(capsys):

@@ -216,12 +216,11 @@ def _decode(names: tuple, table: Table) -> frozenset:
 def identity_automaton(w: Obj) -> TuringAutomaton:
     """Single state; position i bounces to |w|+i and back. No anchor moves."""
     n = len(w)
-    q = 0
-    delta = set()
+    bounce = Rel.identity(1)
+    table: Table = {}
     for i in range(1, n + 1):
-        delta.add(((q, i), (q, n + i)))
-        delta.add(((q, n + i), (q, i)))
-    return TuringAutomaton(w + w, frozenset({q}), frozenset(delta))
+        table[(i, n + i)] = table[(n + i, i)] = bounce
+    return TuringAutomaton._assemble(w + w, (0,), table)
 
 
 def reindex_automaton(t: TuringAutomaton, rho: PermSymbol) -> TuringAutomaton:
@@ -362,23 +361,19 @@ def atomic_switch(n: int, sort: Sort = Sort("1")) -> TuringAutomaton:
 # -- equality up to a state bijection -----------------------------------------
 
 
-def equivalent_automata(t1: TuringAutomaton, t2: TuringAutomaton, witness=None) -> bool:
+def equivalent_automata(t1: TuringAutomaton, t2: TuringAutomaton) -> bool:
     """True when some state bijection carries one transition set onto the
-    other; ``witness`` short-circuits the search with a candidate mapping."""
-    if t1.iface != t2.iface or len(t1.states) != len(t2.states):
+    other.  Equal tables are settled by the identity on state numbers;
+    otherwise the numbered states are matched with the table entries as
+    labelled edges.  Reads only ``iface``, ``names`` and ``table``."""
+    if t1.iface != t2.iface or len(t1.names) != len(t2.names):
         return False
-    if len(t1.delta) != len(t2.delta):
-        return False
-
-    if witness is not None:
-        mapping = {q: witness(q) for q in t1.states}
-        if set(mapping.values()) == set(t2.states) and t2.delta == {
-            ((mapping[q], x), (mapping[r], y)) for (q, x), (r, y) in t1.delta
-        }:
-            return True
+    if t1.table == t2.table:
+        return True
 
     def colored(t):
-        return dict.fromkeys(t.states, 0), [(q, (x, y), r) for (q, x), (r, y) in t.delta]
+        edges = [(i, xy, j) for xy, rel in t.table.items() for i, j in rel.pairs()]
+        return dict.fromkeys(range(len(t.names)), 0), edges
 
     return find_bijection(*colored(t1), *colored(t2)) is not None
 
@@ -401,8 +396,8 @@ class AutomataAlgebra:
     def rank_of(self, x) -> Obj:
         return x.iface
 
-    def equivalent(self, x, y, witness=None) -> bool:
-        return equivalent_automata(x, y, witness)
+    def equivalent(self, x, y) -> bool:
+        return equivalent_automata(x, y)
 
 
 AUTOMATA_ALGEBRA = AutomataAlgebra()

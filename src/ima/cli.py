@@ -117,8 +117,15 @@ def _load_state(path: str) -> dict[int, object]:
     return state
 
 
-def _endpoint(text: str):
-    return ANCHOR if text == "*" else int(text)
+def _endpoint(flag: str, text: str):
+    """``*`` for the anchor or an interface number; anything else raises
+    ``ImaError`` naming ``flag`` and ``text``."""
+    if text == "*":
+        return ANCHOR
+    try:
+        return int(text)
+    except ValueError:
+        raise ImaError(f"{flag} {text!r}: an endpoint is '*' or an interface number") from None
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -184,8 +191,8 @@ def cmd_simulate(args) -> int:
         sys.stdout.write(gr.to_dot(m.graph))
         return 0
     start = _load_state(args.state)
-    frm = _endpoint(getattr(args, "from"))
-    to = _endpoint(args.to)
+    frm = _endpoint("--from", getattr(args, "from"))
+    to = _endpoint("--to", args.to)
     pairs = dflow.walks(m, start, frm, to)
     for (q0, x), (q1, y) in sorted(pairs, key=repr):
         print(f"{q0!r} @{x} -> {q1!r} @{y}")
@@ -215,8 +222,10 @@ def cmd_soliton(args) -> int:
         print(f"{len(pims)} perfect internal matchings")
         return 0
     q = sol.parse_plain_state(Path(args.state).read_text(), g, ids)
-    i_text, j_text = args.walk.split(",")
-    i, j = _endpoint(i_text), _endpoint(j_text)
+    ends = args.walk.split(",")
+    if len(ends) != 2:
+        raise ImaError(f"--walk {args.walk!r}: expected two endpoints i,j")
+    i, j = (_endpoint("--walk", end) for end in ends)
     found = sol.soliton_walks(p, q, i, j, max_steps=args.max_steps)
     names = {v: k for k, v in ids.items()}
     for walk, final in sorted(found, key=repr):

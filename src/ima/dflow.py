@@ -118,11 +118,11 @@ class DFlowAlgebra:
     def rank_of(self, x: DFlowAutomaton) -> Obj:
         return x.sort_word
 
-    def equivalent(self, x: DFlowAutomaton, y: DFlowAutomaton, witness=None) -> bool:
+    def equivalent(self, x: DFlowAutomaton, y: DFlowAutomaton) -> bool:
         return (
             x.data == y.data
             and x.sort_word == y.sort_word
-            and equivalent_automata(x.base, y.base, witness)
+            and equivalent_automata(x.base, y.base)
         )
 
 

@@ -607,7 +607,7 @@ class GraphAlgebra:
     def rank_of(self, x) -> Obj:
         return x.rank_word()
 
-    def equivalent(self, x, y, witness=None) -> bool:
+    def equivalent(self, x, y) -> bool:
         return isomorphic(x, y)
 
 

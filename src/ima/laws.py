@@ -3,10 +3,10 @@
 Each law family is instantiated with freshly drawn objects, permutation
 symbols and algebra elements; both sides are built as terms, evaluated
 through the generic evaluator and compared with the algebra's own
-equivalence.  Where the two sides rebuild the same state space in a
-different shape (sum reassociations, unit summands) the canonical state
-bijection is supplied as a witness, so the bijection search is only a
-fallback.
+equivalence.  For automata that is equality up to a state bijection;
+sum numbers product states so that most laws rebuild the very same
+table on both sides, and the bijection search runs only when the tables
+differ.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ class AlgebraUnderTest:
     name: str
     algebra: object
     random_element: Callable[[random.Random, Obj], object]
-
-    def equivalent(self, x, y, witness=None) -> bool:
-        return self.algebra.equivalent(x, y, witness=witness)
 
 
 # -- random raw material ---------------------------------------------------------
@@ -185,14 +182,10 @@ class LawCheck:
     lhs: tm.Term
     rhs: tm.Term
     symbols: dict
-    witness: Callable | None = None
 
 
 def _interp(aut: AlgebraUnderTest, symbols: dict) -> tm.Interpretation:
     return tm.Interpretation(aut.algebra, symbols)
-
-
-IDENTITY_WITNESS = lambda s: s  # noqa: E731
 
 
 def gen_I1(rng, aut) -> list[LawCheck]:
@@ -209,14 +202,12 @@ def gen_I1(rng, aut) -> list[LawCheck]:
             tm.Index(F, pm.compose(rho1, rho2)),
             tm.Index(tm.Index(F, rho1), rho2),
             {"f": f},
-            IDENTITY_WITNESS,
         ),
         LawCheck(
             "I1 unit",
             tm.Index(F, pm.identity(w)),
             F,
             {"f": f},
-            IDENTITY_WITNESS,
         ),
     ]
 
@@ -234,7 +225,6 @@ def gen_I2(rng, aut) -> list[LawCheck]:
             tm.Index(tm.Sum(F, G), pm.tensor(rho1, rho2)),
             tm.Sum(tm.Index(F, rho1), tm.Index(G, rho2)),
             {"f": f, "g": g},
-            IDENTITY_WITNESS,
         )
     ]
     a = random_obj(rng, 1)
@@ -248,7 +238,6 @@ def gen_I2(rng, aut) -> list[LawCheck]:
             tm.Index(tm.Trace(a, H), rho),
             tm.Trace(a, tm.Index(H, pm.tensor(pm.identity(a + a), rho))),
             {"h": h},
-            IDENTITY_WITNESS,
         )
     )
     return checks
@@ -267,7 +256,6 @@ def gen_I3(rng, aut) -> list[LawCheck]:
             tm.Index(F, fine),
             tm.Index(F, coarse),
             {"f": f},
-            IDENTITY_WITNESS,
         )
     ]
 
@@ -284,14 +272,12 @@ def gen_I4(rng, aut) -> list[LawCheck]:
             tm.Sum(tm.Sum(F, G), H),
             tm.Sum(F, tm.Sum(G, H)),
             {"f": f, "g": g, "h": h},
-            lambda s: (s[0][0], (s[0][1], s[1])),
         ),
         LawCheck(
             "I4 commutativity",
             tm.Sum(F, G),
             tm.Index(tm.Sum(G, F), pm.block_transposition(w2, w1)),
             {"f": f, "g": g},
-            lambda s: (s[1], s[0]),
         ),
     ]
 
@@ -306,14 +292,12 @@ def gen_I5(rng, aut) -> list[LawCheck]:
             tm.Comp(a, b, b, F, tm.Id(b)),
             F,
             {"f": f},
-            lambda s: s[0],
         ),
         LawCheck(
             "I5 unit summand",
             tm.Sum(F, tm.Id(Obj())),
             F,
             {"f": f},
-            lambda s: s[0],
         ),
     ]
 
@@ -326,7 +310,6 @@ def gen_I6(rng, aut) -> list[LawCheck]:
             tm.Index(tm.Id(a), pm.block_transposition(a, a)),
             tm.Id(a),
             {},
-            IDENTITY_WITNESS,
         )
     ]
 
@@ -341,7 +324,6 @@ def gen_I7(rng, aut) -> list[LawCheck]:
             tm.Trace(Obj(), F),
             F,
             {"f": f},
-            IDENTITY_WITNESS,
         )
     ]
     a, b = random_obj(rng, 1), random_obj(rng, 1)
@@ -357,7 +339,6 @@ def gen_I7(rng, aut) -> list[LawCheck]:
             tm.Trace(a + b, H),
             tm.Trace(b, tm.Trace(a, tm.Index(H, rho))),
             {"h": h},
-            IDENTITY_WITNESS,
         )
     )
     return checks
@@ -375,7 +356,6 @@ def gen_I8(rng, aut) -> list[LawCheck]:
             tm.Trace(a, tm.Sum(F, G)),
             tm.Sum(tm.Trace(a, F), G),
             {"f": f, "g": g},
-            IDENTITY_WITNESS,
         )
     ]
 
@@ -392,7 +372,6 @@ def gen_I9(rng, aut) -> list[LawCheck]:
             tm.Trace(b, tm.Trace(a, F)),
             tm.Trace(a, tm.Trace(b, tm.Index(F, rho))),
             {"f": f},
-            IDENTITY_WITNESS,
         )
     ]
 
@@ -446,14 +425,12 @@ def gen_trace_symmetry(rng, aut) -> list[LawCheck]:
             tm.Trace(a, F),
             tm.Trace(a, tm.Index(F, rho)),
             {"f": f},
-            IDENTITY_WITNESS,
         ),
         LawCheck(
             "canonical trace",
             tm.Trace(a, F),
             tm.Comp(Obj(), a + a, b, tm.Id(a), F),
             {"f": f},
-            lambda s: (0, s),
         ),
     ]
 
@@ -468,7 +445,6 @@ def gen_left_identity(rng, aut) -> list[LawCheck]:
             tm.Comp(a, a, b, tm.Id(a), F),
             F,
             {"f": f},
-            lambda s: s[1],
         )
     ]
 
@@ -537,9 +513,7 @@ def check_one(aut: AlgebraUnderTest, check: LawCheck) -> bool:
     interp = _interp(aut, check.symbols)
     lhs = tm.evaluate(check.lhs, interp)
     rhs = tm.evaluate(check.rhs, interp)
-    if check.witness is not None and aut.equivalent(lhs, rhs, witness=check.witness):
-        return True
-    return aut.equivalent(lhs, rhs)
+    return aut.algebra.equivalent(lhs, rhs)
 
 
 def _shrunk(aut, family_gen, rng, attempts: int = 20) -> LawCheck | None:

@@ -187,9 +187,12 @@ def parse_plain_graph(text: str) -> tuple[SigmaGraph, dict[str, int]]:
         edge v b
 
     Vertices not listed as interfaces are internal and get labeled
-    ``c<degree>``.  Returns the graph and the name-to-vertex-id map.
+    ``c<degree>``.  Returns the graph and the name-to-vertex-id map.  A
+    second ``interfaces`` line, or a name listed twice on it, raises
+    ``ImaError`` naming the line and the name.
     """
     iface_names: list[str] = []
+    iface_line = None
     edge_names: list[tuple[str, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -197,7 +200,12 @@ def parse_plain_graph(text: str) -> tuple[SigmaGraph, dict[str, int]]:
             continue
         parts = line.split()
         if parts[0] == "interfaces":
-            iface_names = parts[1:]
+            if iface_line is not None:
+                raise ImaError(f"line {lineno}: second 'interfaces' line (first on line {iface_line})")
+            iface_line, iface_names = lineno, parts[1:]
+            for k, name in enumerate(iface_names):
+                if name in iface_names[:k]:
+                    raise ImaError(f"line {lineno}: interface {name!r} listed twice")
         elif parts[0] == "edge" and len(parts) == 3:
             edge_names.append((parts[1], parts[2]))
         else:

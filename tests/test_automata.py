@@ -193,7 +193,7 @@ def test_sum_with_unit_identity():
     unit = identity_automaton(UNIT)
     s = sum_automata(t, unit)
     e = next(iter(unit.states))
-    assert equivalent_automata(s, t, witness=lambda q: q[0])
+    assert equivalent_automata(s, t)
     assert s.states == frozenset((q, e) for q in t.states)
 
 
@@ -256,14 +256,14 @@ def test_compose_with_identity_automaton():
     t = atomic_switch(2)
     s = Obj.of(t.iface.word[0])
     got = compose_in(AutomataAlgebra(), t, identity_automaton(s), s, s, s)
-    assert equivalent_automata(got, t, witness=lambda q: q[0])
+    assert equivalent_automata(got, t)
 
 
 def test_compose_identity_left_automaton():
     t = atomic_switch(2)
     s = Obj.of(t.iface.word[0])
     got = compose_in(AutomataAlgebra(), identity_automaton(s), t, s, s, s)
-    assert equivalent_automata(got, t, witness=lambda q: q[1])
+    assert equivalent_automata(got, t)
 
 
 # -- reverse and determinism --------------------------------------------------------------
@@ -395,8 +395,21 @@ def test_equivalent_product_reassociation():
     a, b, c = atomic_switch(1), atomic_switch(2), atomic_switch(1)
     lhs = sum_automata(sum_automata(a, b), c)
     rhs = sum_automata(a, sum_automata(b, c))
-    assert equivalent_automata(lhs, rhs, witness=lambda q: (q[0][0], (q[0][1], q[1])))
     assert equivalent_automata(lhs, rhs)
+
+
+def test_equivalent_decodes_neither_automaton():
+    # one assembled pair with equal tables and one whose tables differ,
+    # so that the bijection search runs as well
+    a, b = atomic_switch(2), atomic_switch(3)
+    same = (sum_automata(sum_automata(a, b), a), sum_automata(a, sum_automata(b, a)))
+    swapped = (sum_automata(b, a),
+               reindex_automaton(sum_automata(a, b), block_transposition(a.iface, b.iface)))
+    assert same[0].table == same[1].table and swapped[0].table != swapped[1].table
+    for t, u in (same, swapped):
+        assert equivalent_automata(t, u)
+        for x in (t, u):
+            assert "delta" not in x.__dict__ and "states" not in x.__dict__
 
 
 def test_equivalent_state_count_differs():
@@ -455,6 +468,14 @@ def set_identity(w):
     delta = {((0, i), (0, n + i)) for i in range(1, n + 1)}
     delta |= {((0, n + i), (0, i)) for i in range(1, n + 1)}
     return TuringAutomaton(w + w, frozenset({0}), frozenset(delta))
+
+
+@pytest.mark.parametrize("length", range(4))
+def test_identity_automaton_equals_the_constructor_built_one(length):
+    for letters in itertools.product(laws.SORTS, repeat=length):
+        w = Obj(letters)
+        got, want = identity_automaton(w), set_identity(w)
+        assert got == want and got.table == want.table
 
 
 def set_reindex(t, rho):

@@ -378,6 +378,16 @@ def test_simulate_rejects_unknown_interface(machine_files, capsys, frm, to):
     assert err == "error: no interface 7\n"
 
 
+@pytest.mark.parametrize("frm, to, message", [
+    ("x", "1", "--from 'x': an endpoint is '*' or an interface number"),
+    ("1", "", "--to '': an endpoint is '*' or an interface number"),
+])
+def test_simulate_names_a_bad_endpoint(machine_files, capsys, frm, to, message):
+    code, out, err = simulate(capsys, machine_files, "m.json", {"0": 1}, frm, to)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.fixture
 def soliton_files(tmp_path):
     (tmp_path / "g.txt").write_text(
@@ -512,3 +522,31 @@ def test_axioms_deterministic_given_seed(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("walk, message", [
+    ("x,1", "--walk 'x': an endpoint is '*' or an interface number"),
+    ("1", "--walk '1': expected two endpoints i,j"),
+    ("1,2,*", "--walk '1,2,*': expected two endpoints i,j"),
+])
+def test_soliton_names_a_bad_walk(soliton_files, capsys, walk, message):
+    code, out, err = run(
+        capsys, "soliton", "--graph", str(soliton_files / "g.txt"),
+        "--state", str(soliton_files / "q.txt"), "--walk", walk,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("graph, message", [
+    ("interfaces a a\nedge a u\nedge u a\n", "line 1: interface 'a' listed twice"),
+    ("interfaces a b\ninterfaces a\nedge a u\nedge u v\nedge v b\n",
+     "line 2: second 'interfaces' line (first on line 1)"),
+])
+def test_soliton_graph_file_rejects_a_misread_interface_list(soliton_files, capsys, graph, message):
+    (soliton_files / "bad.txt").write_text(graph)
+    code, out, err = run(
+        capsys, "soliton", "--graph", str(soliton_files / "bad.txt"), "--enumerate-pims"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"

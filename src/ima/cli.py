@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -39,15 +40,27 @@ from .perm import Obj
 
 
 def read_term_file(path: str) -> tuple[tm.Term, RankedAlphabet]:
+    """The term and the signatures of a term file.  A ``sig`` line of the
+    wrong shape, a second ``sig`` line for one name, or a sort word with a
+    character other than a letter, digit or ``_`` raises ``ImaError``
+    naming the line."""
     sigs: dict[str, Obj] = {}
     term_lines = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("sig "):
             parts = stripped.split()
             if len(parts) != 3:
-                raise ImaError(f"bad signature line: {stripped!r}")
-            sigs[parts[1]] = Obj.parse(parts[2])
+                raise ImaError(f"line {number}: bad signature line: {stripped!r}")
+            _, name, word = parts
+            if name in sigs:
+                raise ImaError(f"line {number}: second signature for {name!r}")
+            if word != "()" and not re.fullmatch(r"\w+", word):
+                raise ImaError(
+                    f"line {number}: sort word {word!r} holds a character other than "
+                    "a letter, digit or '_'"
+                )
+            sigs[name] = Obj.parse(word)
         elif stripped.startswith("#"):
             continue
         else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Mapping, NamedTuple, Sequence
 
 from . import graph as gr
@@ -302,30 +302,12 @@ def evaluate(m: GraphMachine) -> DFlowAutomaton:
     return tm.evaluate(tm.trace_early(gr.decompose(m.graph), interp.ranks()), interp)
 
 
-def state_packer(m: GraphMachine):
-    """Maps local-state assignments to global states of ``evaluate(m)``:
-    summands fold left to right in decomposition order (atoms by vertex
-    id, then wire and loop markers with their single silent state).  The
-    traces and indexings that ``evaluate`` interleaves with the sums keep
-    states as they are, so a state is the left-nested tuple of the parts."""
-    plan = gr.decomposition_plan(m.graph)
-    silent = len(plan.wire_sorts) + len(plan.loop_sorts)
-    vids = [vid for vid, _, _ in plan.atoms]
-
-    def pack(local: Mapping[int, object]):
-        parts = [local[vid] for vid in vids] + [0] * silent
-        if not parts:
-            return 0
-        state = parts[0]
-        for p in parts[1:]:
-            state = (state, p)
-        return state
-
-    return pack
-
-
 def pack_state(m: GraphMachine, local: Mapping[int, object]):
-    return state_packer(m)(local)
+    """The global state of ``evaluate(m)`` that assigns ``local[vid]`` to
+    each internal vertex; a map that misses a vertex or holds an unknown
+    state raises :class:`IllFormedConfig`."""
+    ix = m.step_index
+    return ix.name(_state_number(ix, tuple(sorted(local.items()))))
 
 
 # -- operational semantics ------------------------------------------------------
@@ -356,10 +338,14 @@ class StepIndex:
     """The configuration graph of a machine compiled to integers, once.
 
     Slot ``i`` of ``Config.local`` belongs to internal vertex ``vids[i]``,
-    whose local states ``states[i]`` are numbered by ``digits[i]``.  A
+    whose local states ``names[i]`` are numbered in the order of that
+    vertex automaton's ``names``, and ``digits[i]`` numbers them.  A
     local-state assignment is the mixed-radix number ``sum(q_i * radix[i])``
-    of its state numbers, ``radix[i]`` being the product of the earlier
-    slots' state counts, and there are ``size`` of them.  Loci are
+    of its state numbers, ``radix[i]`` being the product of the later
+    slots' state counts, and there are ``size`` of them.  That is how
+    ``evaluate`` numbers the states of its sum of atoms in vertex order,
+    so state number ``s`` is state number ``s`` of ``evaluate(m).base``,
+    and :meth:`name` decodes it to the same name.  Loci are
     numbered as well: the anchor is 0, interface ``serial`` is ``serial``,
     then come the ports of each slot in turn; ``loci`` lists the locus
     tuples by number and ``locus_id`` numbers them.
@@ -377,7 +363,7 @@ class StepIndex:
     across its edge inward.  :func:`step` and :func:`walk_closure` both
     read successors from :meth:`successors`."""
 
-    __slots__ = ("data", "vids", "slot", "states", "digits", "radix", "size", "loci",
+    __slots__ = ("data", "vids", "slot", "names", "digits", "radix", "size", "silent", "loci",
                  "locus_id", "terminal", "moves", "anchor")
 
     def __init__(self, m: GraphMachine):
@@ -385,13 +371,17 @@ class StepIndex:
         self.data = m.data
         k = len(m.data)
         self.vids = tuple(g.internal_vertices())
+        # evaluate sums the atoms in this order, then one one-state summand
+        # per interface-to-interface wire and per loop vertex
+        plan = gr.decomposition_plan(g)
+        self.silent = len(plan.wire_sorts) + len(plan.loop_sorts)
         self.slot = {vid: i for i, vid in enumerate(self.vids)}
-        self.states = tuple(tuple(sorted(m.local(vid).base.states, key=repr)) for vid in self.vids)
-        self.digits = tuple({q: d for d, q in enumerate(states)} for states in self.states)
+        self.names = tuple(m.local(vid).base.names for vid in self.vids)
+        self.digits = tuple({q: d for d, q in enumerate(names)} for names in self.names)
         radix, size = [], 1
-        for states in self.states:
-            radix.append(size)
-            size *= len(states)
+        for names in reversed(self.names):
+            radix.insert(0, size)
+            size *= len(names)
         self.radix, self.size = tuple(radix), size
         ifaces = g.interface_vertices()
         loci = [_AT_ANCHOR] + [("iface", serial) for serial in ifaces]
@@ -416,7 +406,7 @@ class StepIndex:
                 moves[serial * k + d] = (1, 1, (((inward * k + d) * size,),))
         anchor = []
         for i, vid in enumerate(self.vids):
-            count, digit = len(self.states[i]), self.digits[i]
+            count, digit = len(self.names[i]), self.digits[i]
             entries = range(first_port[i] * k, (first_port[i] + len(g.ports_of(vid))) * k)
             table = {ld: [[] for _ in range(count)] for ld in entries}
             at_anchor = [[] for _ in range(count)]
@@ -447,8 +437,15 @@ class StepIndex:
 
     def local(self, s: int) -> tuple:
         """The sorted ``(vertex id, state)`` pairs of state number ``s``."""
-        return tuple((vid, states[s // radix % len(states)])
-                     for vid, states, radix in zip(self.vids, self.states, self.radix))
+        return tuple((vid, names[s // radix % len(names)])
+                     for vid, names, radix in zip(self.vids, self.names, self.radix))
+
+    def name(self, s: int):
+        """State ``s``'s name in ``evaluate(m).base``: the slots' states,
+        then one silent 0 per wire or loop summand, as a left-nested
+        pair; 0 when there is neither."""
+        parts = [q for _, q in self.local(s)] + [0] * self.silent
+        return reduce(lambda left, right: (left, right), parts) if parts else 0
 
     def config(self, code: int) -> Config:
         """The configuration numbered ``code``."""
@@ -548,24 +545,6 @@ def enumerate_walks(
     return out
 
 
-def _endpoint_packer(m: GraphMachine):
-    """Maps a start or terminal configuration to its end of a transition
-    of ``evaluate(m)``: the packed global state and the base position (or
-    the anchor).  Each distinct ``Config.local`` is packed once."""
-    pack = state_packer(m)
-    packed: dict[tuple, object] = {}
-
-    def end(c: Config) -> tuple:
-        local = c.local
-        if local not in packed:
-            packed[local] = pack(dict(local))
-        if c.locus[0] == "anchor":
-            return packed[local], ANCHOR
-        return packed[local], position_of(c.locus[1], m.data.index(c.datum), len(m.data))
-
-    return end
-
-
 def _reachable_exits(start, successors, terminal) -> set:
     """Terminal configurations reachable from ``start`` in one or more
     steps (the start itself counts only when re-reached): one
@@ -607,7 +586,14 @@ def walks(
     nonempty chain of steps ending at a terminal locus.
     """
     target = _target_locus(m, to)
-    end = _endpoint_packer(m)
+    ix = m.step_index
+
+    def end(c: Config) -> tuple:
+        state = ix.name(_state_number(ix, c.local))
+        if c.locus[0] == "anchor":
+            return state, ANCHOR
+        return state, position_of(c.locus[1], m.data.index(c.datum), len(m.data))
+
     out = set()
     for s0 in _start_configs(m, start_local, frm):
         for c2 in _reachable_exits(s0, lambda c: step(m, c), _is_terminal):
@@ -623,8 +609,7 @@ def walk_closure(m: GraphMachine) -> frozenset:
     of ``m.step_index``, each configuration's successors read once."""
     ix = m.step_index
     k, size = len(m.data), ix.size
-    pack = state_packer(m)
-    packed = [pack(dict(ix.local(s))) for s in range(size)]
+    names = [ix.name(s) for s in range(size)]
     # the end of a transition at each terminal (locus * |D| + datum)
     where = [ANCHOR] * k + [
         position_of(serial, d, k) for serial in m.graph.interface_vertices() for d in range(k)
@@ -642,10 +627,10 @@ def walk_closure(m: GraphMachine) -> frozenset:
     out = set()
     for s in range(size):
         for ld in starts:
-            begin = packed[s], where[ld]
+            begin = names[s], where[ld]
             for code in _reachable_exits(ld * size + s, successors, terminal):
                 ld2, s2 = divmod(code, size)
-                out.add((begin, (packed[s2], where[ld2])))
+                out.add((begin, (names[s2], where[ld2])))
     return frozenset(out)
 
 

@@ -118,6 +118,20 @@ def test_eq_unequal_exit_one(term_file, capsys):
     assert out.strip() == "not equal"
 
 
+def test_second_signature_for_a_name_is_rejected(term_file, capsys):
+    f = term_file("t.term", "sig f BA\n# the same name again\nsig f AB\natom f\n")
+    code, _, err = run(capsys, "normalize", f)
+    assert code == 2
+    assert "line 3" in err and "second signature for 'f'" in err
+
+
+def test_sort_word_outside_word_characters_is_rejected(term_file, capsys):
+    f = term_file("t.term", "sig g ()\nsig f A?B\natom f\n")
+    code, _, err = run(capsys, "normalize", f)
+    assert code == 2
+    assert "line 2" in err and "'A?B'" in err
+
+
 @pytest.fixture
 def machine_files(tmp_path):
     (tmp_path / "path.graph").write_text(

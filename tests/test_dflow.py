@@ -382,7 +382,6 @@ def config_walk_closure(m: GraphMachine) -> frozenset:
     """The walk closure over ``Config``s that the numbered one replaced,
     kept only as a reference: one breadth-first search through ``step``
     from every start, each configuration stepped once."""
-    pack = dflow.state_packer(m)
     cache: dict[Config, set[Config]] = {}
 
     def stepper(c: Config) -> set[Config]:
@@ -391,9 +390,10 @@ def config_walk_closure(m: GraphMachine) -> frozenset:
         return cache[c]
 
     def end(c: Config) -> tuple:
+        state = pack_state(m, c.local_map())
         if c.locus[0] == "anchor":
-            return pack(c.local_map()), ANCHOR
-        return pack(c.local_map()), position_of(c.locus[1], m.data.index(c.datum), len(m.data))
+            return state, ANCHOR
+        return state, position_of(c.locus[1], m.data.index(c.datum), len(m.data))
 
     out = set()
     for local in machine_states(m):
@@ -581,6 +581,48 @@ def test_pack_state_matches_evaluate_states():
     ev = evaluate(m)
     packed = {pack_state(m, loc) for loc in machine_states(m)}
     assert packed == set(ev.base.states)
+
+
+def test_step_index_numbers_states_as_evaluate():
+    # state number s of the step index is state number s of evaluate(m).base
+    for m in differential_machines():
+        ix = m.step_index
+        assert [ix.name(s) for s in range(ix.size)] == list(evaluate(m).base.names)
+        for local in machine_states(m):
+            assignment = tuple(sorted(local.items()))
+            s = dflow._state_number(ix, assignment)
+            assert ix.local(s) == assignment
+            assert pack_state(m, local) == ix.name(s)
+
+
+def test_walks_and_pack_state_do_not_replan(monkeypatch):
+    m = switch_machine(switch_graph(random.Random(20261023), [3, 3, 2]), True)
+    m.step_index
+    calls = []
+    real_plan = gr.decomposition_plan
+
+    def counting(g):
+        calls.append(g)
+        return real_plan(g)
+
+    monkeypatch.setattr("ima.graph.decomposition_plan", counting)
+    local = {v: 1 for v in m.graph.internal_vertices()}
+    for _ in range(3):
+        assert walks(m, local, ANCHOR, ANCHOR)
+        pack_state(m, local)
+    assert calls == []
+
+
+def test_pack_state_rejects_malformed_maps():
+    m = path_machine(alternating_switch(2), 2)
+    with pytest.raises(IllFormedConfig, match="cover"):
+        pack_state(m, {0: 1})
+    with pytest.raises(IllFormedConfig, match="cover"):
+        pack_state(m, {0: 1, 1: 1, 5: 1})
+    with pytest.raises(IllFormedConfig, match="unknown"):
+        pack_state(m, {0: 1, 1: 7})
+    with pytest.raises(IllFormedConfig, match="unknown"):
+        pack_state(m, {0: 1, 1: [1]})
 
 
 # -- Turing machine encoding --------------------------------------------------------------

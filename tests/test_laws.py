@@ -1,4 +1,10 @@
+import itertools
+import random
+
 from ima import laws
+from ima.automata import AUTOMATA_ALGEBRA, TuringAutomaton
+from ima.dflow import DFlowAlgebra, DFlowAutomaton
+from ima.perm import Obj
 
 
 def test_axioms_pass_in_all_algebras():
@@ -51,3 +57,54 @@ def test_zero_cases_report():
     report = laws.run_axioms(laws.graphs_under_test(), cases=0, seed=0)
     assert report.ok
     assert all(n == 0 for n in report.cases.values())
+
+
+def brute_force_equivalent(t1: TuringAutomaton, t2: TuringAutomaton) -> bool:
+    """Some bijection of the state sets carries one transition set onto
+    the other, found by trying every one."""
+    if t1.iface != t2.iface or len(t1.states) != len(t2.states):
+        return False
+    names = sorted(t1.states)
+    for image in itertools.permutations(sorted(t2.states)):
+        to = dict(zip(names, image))
+        if {((to[q], x), (to[r], y)) for (q, x), (r, y) in t1.delta} == t2.delta:
+            return True
+    return False
+
+
+def retargeted(rng: random.Random, t: TuringAutomaton) -> TuringAutomaton:
+    """``t`` with one transition sent to another target state: the same
+    table keys over other relations."""
+    delta = sorted(t.delta, key=repr)
+    (q, x), (r, y) = delta.pop(rng.randrange(len(delta)))
+    r2 = rng.choice(sorted(t.states - {r}))
+    return TuringAutomaton(t.iface, t.states, {*delta, ((q, x), (r2, y))})
+
+
+def inequivalent_pairs(seed: int = 20261019, count: int = 300) -> list:
+    """Pairs of random automata, half of them a random automaton and a
+    retargeted copy, kept when no state bijection relates them."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        w = Obj.parse(rng.choice(["()", "A", "AB", "AAB"]))
+        t1 = laws.random_automaton(rng, w)
+        if len(t1.states) > 1 and t1.delta and rng.random() < 0.5:
+            t2 = retargeted(rng, t1)
+        else:
+            t2 = laws.random_automaton(rng, w)
+        if not brute_force_equivalent(t1, t2):
+            pairs.append((t1, t2))
+    return pairs
+
+
+def test_equivalence_rejects_inequivalent_automata():
+    pairs = inequivalent_pairs()
+    same_keys = [(t1, t2) for t1, t2 in pairs
+                 if len(t1.states) == len(t2.states) and t1.table.keys() == t2.table.keys()]
+    assert len(same_keys) >= 20
+    dflow = DFlowAlgebra((0,))
+    for t1, t2 in pairs:
+        assert AUTOMATA_ALGEBRA.equivalent(t1, t2) is False, (t1.delta, t2.delta)
+        d1, d2 = (DFlowAutomaton((0,), t.iface, t) for t in (t1, t2))
+        assert dflow.equivalent(d1, d2) is False, (t1.delta, t2.delta)

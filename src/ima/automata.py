@@ -12,19 +12,19 @@ binary relation on state numbers that its transitions form, keeping only
 the non-empty relations.  The operations work on the table alone.  Sum is
 the Kronecker sum of the two tables (``R ⊗ I`` for the left summand's
 moves, ``I ⊗ R`` for the right's), reindex renames table keys and shares
-the relations, and trace is the Kleene-style elimination of interface
-pairs: for each glued pair the surviving entries are extended by chains
-that alternate through the pair, expressed with an alternating matrix
-product over the semiring of binary relations on the state set.  The
-``states`` and ``delta`` sets are views decoded from the table on first
-read.
+the relations, and trace is state elimination over the glued ends:
+control that exits at one end of a glued pair resumes at the other, so
+each end is a node, and eliminating it extends every surviving entry by
+the paths through it, with its loop closed by the reflexive-transitive
+closure ``Rel.star``.  The ``states`` and ``delta`` sets are views
+decoded from the table on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidArity, RankMismatch
 from .match import find_bijection
@@ -84,6 +84,21 @@ class Rel:
             out.append(acc)
         return Rel(self.size, tuple(out))
 
+    def star(self) -> "Rel":
+        """The reflexive-transitive closure: row i is the set of states a
+        search along the rows reaches from state i."""
+        out = []
+        for i in range(self.size):
+            reach = todo = 1 << i
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                new = self.rows[low.bit_length() - 1] & ~reach
+                reach |= new
+                todo |= new
+            out.append(reach)
+        return Rel(self.size, tuple(out))
+
     def converse(self) -> "Rel":
         rows = [0] * self.size
         for i, j in self.pairs():
@@ -94,49 +109,7 @@ class Rel:
         return all(r == 0 for r in self.rows)
 
 
-Mat = tuple[tuple[Rel, ...], ...]  # rows of relations
 Table = dict[tuple[Pos, Pos], Rel]
-
-
-def _mat_mul(u: Mat, v: Mat) -> Mat:
-    size = u[0][0].size
-    out = []
-    for row in u:
-        out_row = []
-        for j in range(len(v[0])):
-            acc = Rel.empty(size)
-            for k in range(len(v)):
-                acc = acc.union(row[k].compose(v[k][j]))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def alt_product(u: Mat, v: Mat) -> Mat:
-    """Matrix product with the right factor's two rows swapped first."""
-    if len(v) != 2:
-        raise ValueError("alternating product needs a two-row right factor")
-    return _mat_mul(u, (v[1], v[0]))
-
-
-def alt_identity(size: int) -> Mat:
-    i2: Mat = ((Rel.identity(size), Rel.empty(size)), (Rel.empty(size), Rel.identity(size)))
-    return alt_product(i2, i2)
-
-
-def alt_star(u: Mat) -> Mat:
-    """Least fixpoint of ``P = P0 union (P alt_product u)`` starting from the
-    alternate identity; terminates on the finite lattice of relations."""
-    size = u[0][0].size
-    p = alt_identity(size)
-    while True:
-        nxt = tuple(
-            tuple(a.union(b) for a, b in zip(row_p, row_q))
-            for row_p, row_q in zip(p, alt_product(p, u))
-        )
-        if nxt == p:
-            return p
-        p = nxt
 
 
 # -- automata -----------------------------------------------------------------
@@ -266,56 +239,44 @@ def sum_automata(t1: TuringAutomaton, t2: TuringAutomaton) -> TuringAutomaton:
     return TuringAutomaton._assemble(t1.iface + t2.iface, names, table)
 
 
-def trace_automaton(
-    t: TuringAutomaton,
-    w: Obj,
-    order: Sequence[int] | None = None,
-) -> TuringAutomaton:
-    """Eliminate the interface pairs (i, |w|+i) by the Kleene construction.
+def trace_automaton(t: TuringAutomaton, w: Obj) -> TuringAutomaton:
+    """Glue the interface pairs (i, |w|+i) by state elimination.
 
-    ``order`` fixes the elimination sequence of pair indices 1..|w|; the
-    result does not depend on it.
+    Control that exits at one end of a glued pair re-enters at the other
+    in the same state.  Each pair is two nodes, and node ``(v, u)`` means
+    "exit at ``v``, resume at ``u``": its in-edges are the entries
+    ``(x, v)``, its out-edges the entries ``(u, y)`` and its loop the
+    entry ``(u, v)``.  Eliminating the node adds every path through it to
+    the entries that survive it (Brzozowski & McCluskey 1963).
     """
     n = len(w)
     if t.iface[: 2 * n] != w + w:
         raise RankMismatch(f"trace: iface {t.iface} does not start with {w}{w}")
-    if order is None:
-        order = range(1, n + 1)
-    order = list(order)
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order {order} is not a permutation of 1..{n}")
 
-    # the elimination runs on the dense table over the surviving positions
-    # and the anchor; every absent entry is one shared empty relation
+    # the elimination runs on the dense table over all positions and the
+    # anchor; every absent entry is one shared empty relation
     empty = Rel.empty(len(t.names))
     keys: list[Pos] = list(range(1, len(t.iface) + 1)) + [ANCHOR]
     entry = t.table.get
     table: Table = {(x, y): entry((x, y), empty) for x in keys for y in keys}
 
-    for i in order:
-        z1, z2 = i, n + i
-        mid: Mat = (
-            (table[(z1, z1)], table[(z1, z2)]),
-            (table[(z2, z1)], table[(z2, z2)]),
-        )
-        star = alt_star(mid)
-        keys = [k for k in keys if k not in (z1, z2)]
-        row_through = {
-            x: alt_product(((table[(x, z1)], table[(x, z2)]),), star)
-            for x in keys
-        }
-        new_table = {}
-        for x in keys:
-            for y in keys:
-                col: Mat = ((table[(z1, y)],), (table[(z2, y)],))
-                gained = alt_product(row_through[x], col)[0][0]
-                new_table[(x, y)] = table[(x, y)].union(gained)
-        table = new_table
+    # the entry (source) and exit (target) positions whose node is still live
+    sources, targets = keys[:], keys[:]
+    for i in range(1, n + 1):
+        for v, u in ((i, n + i), (n + i, i)):
+            sources.remove(u)
+            targets.remove(v)
+            loop = table[(u, v)].star()
+            for x in sources:
+                through = table[(x, v)].compose(loop)
+                for y in targets:
+                    table[(x, y)] = table[(x, y)].union(through.compose(table[(u, y)]))
 
     def rename(x: Pos) -> Pos:
         return x if x == ANCHOR else x - 2 * n
 
-    kept = {(rename(x), rename(y)): rel for (x, y), rel in table.items() if any(rel.rows)}
+    kept = {(rename(x), rename(y)): table[(x, y)]
+            for x in sources for y in targets if any(table[(x, y)].rows)}
     return TuringAutomaton._assemble(t.iface[2 * n :], t.names, kept)
 
 

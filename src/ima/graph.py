@@ -472,21 +472,27 @@ def parse_graph(text: str, alphabet: RankedAlphabet | None = None) -> SigmaGraph
     Symbol ranks come from ``alphabet`` when given; otherwise port sorts
     are inferred by propagating interface sorts along edges, with any
     unconstrained port defaulting to the single sort of the file when
-    that is unambiguous.
+    that is unambiguous.  A second ``graph`` line, or a vertex id or an
+    edge (in either direction) given twice, raises ``ImaError`` naming
+    the line.
     """
     rank_decl = None
     raw_vertices: dict[int, str] = {}
-    raw_edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    raw_edges: dict[frozenset, tuple[tuple[int, int], tuple[int, int]]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "graph" and len(parts) == 2:
+            if rank_decl is not None:
+                raise ImaError(f"line {lineno}: second 'graph' line")
             rank_decl = Obj.parse(parts[1])
         elif parts[0] == "vertex" and len(parts) == 3:
             if not _is_int(parts[1]):
                 raise ImaError(f"line {lineno}: vertex id {parts[1]!r} is not an integer")
+            if int(parts[1]) in raw_vertices:
+                raise ImaError(f"line {lineno}: vertex id {parts[1]} given twice")
             raw_vertices[int(parts[1])] = parts[2]
         elif parts[0] == "edge" and len(parts) == 3:
             ends = []
@@ -497,12 +503,14 @@ def parse_graph(text: str, alphabet: RankedAlphabet | None = None) -> SigmaGraph
                         f"line {lineno}: edge end {token!r} is not <vertex id>.<port from 1>"
                     )
                 ends.append((int(vid), int(port) - 1))
-            raw_edges.append((ends[0], ends[1]))
+            if frozenset(ends) in raw_edges:
+                raise ImaError(f"line {lineno}: edge {parts[1]} {parts[2]} given twice")
+            raw_edges[frozenset(ends)] = (ends[0], ends[1])
         else:
             raise ValueError(f"line {lineno}: cannot parse {line!r}")
 
     degree: dict[int, int] = {v: 0 for v in raw_vertices}
-    for (a, i), (b, j) in raw_edges:
+    for (a, i), (b, j) in raw_edges.values():
         for v in (a, b):
             if v not in degree:
                 raise ValueError(f"edge {a}.{i + 1} {b}.{j + 1}: no vertex {v}")
@@ -538,7 +546,7 @@ def parse_graph(text: str, alphabet: RankedAlphabet | None = None) -> SigmaGraph
         changed = True
         while changed:
             changed = False
-            for (a, b) in raw_edges:
+            for (a, b) in raw_edges.values():
                 if a in known and b not in known:
                     known[b], changed = known[a], True
                 elif b in known and a not in known:
@@ -563,7 +571,7 @@ def parse_graph(text: str, alphabet: RankedAlphabet | None = None) -> SigmaGraph
                 sorts.append(sort)
             vertices[vid] = SymbolLabel(name, Obj(tuple(sorts)))
 
-    g = SigmaGraph(vertices, [frozenset({p, q}) for p, q in raw_edges])
+    g = SigmaGraph(vertices, list(raw_edges))
     if rank_decl is not None and g.rank_word() != rank_decl:
         raise ValueError(
             f"declared rank {rank_decl} does not match interfaces {g.rank_word()}"

@@ -558,11 +558,3 @@ def run_families(
                 )
                 break
     return report
-
-
-def run_axioms(aut: AlgebraUnderTest, cases: int, seed: int) -> RunReport:
-    return run_families(aut, AXIOM_FAMILIES, cases, seed, command=f"axioms {aut.name}")
-
-
-def run_derived(aut: AlgebraUnderTest, cases: int, seed: int) -> RunReport:
-    return run_families(aut, DERIVED_FAMILIES, cases, seed, command=f"derived {aut.name}")

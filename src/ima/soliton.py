@@ -247,8 +247,8 @@ def parse_plain_state(
 ) -> dict[int, int]:
     """One selected port per internal vertex: ``<vertex> <port>`` with a
     1-based port, or ``<vertex> -> <neighbor>`` naming the edge.  A name
-    that is no internal vertex, or a port that is not one of the vertex's,
-    raises ``ImaError`` naming the line and the token."""
+    that is no internal vertex, a port that is not one of the vertex's, or
+    a vertex given twice raises ``ImaError`` naming the line and the token."""
     q: dict[int, int] = {}
     names = {v: k for k, v in ids.items()}
     internal = set(g.internal_vertices())
@@ -262,6 +262,8 @@ def parse_plain_state(
         vid = ids.get(parts[0])
         if vid not in internal:
             raise ImaError(f"line {lineno}: no internal vertex {parts[0]!r}")
+        if vid in q:
+            raise ImaError(f"line {lineno}: vertex {parts[0]!r} given twice")
         degree = len(g.ports_of(vid))
         if len(parts) == 3:
             other = ids.get(parts[2])

@@ -10,9 +10,6 @@ from ima.automata import (
     AutomataAlgebra,
     Rel,
     TuringAutomaton,
-    alt_identity,
-    alt_product,
-    alt_star,
     atomic_switch,
     equivalent_automata,
     identity_automaton,
@@ -24,7 +21,7 @@ from ima.automata import (
 )
 from ima import automata, dflow, laws
 from ima.algebra import compose_in, tensor_in
-from ima.perm import Obj, block_transposition, compose, identity
+from ima.perm import Obj, block_transposition, compose, from_positions, identity
 from test_dflow import differential_machines
 
 A = Obj.parse("A")
@@ -51,80 +48,18 @@ def test_rel_union_converse():
     assert set(r.converse().pairs()) == {(1, 0)}
 
 
-# -- alternating product and star ------------------------------------------------
-
-def mat(entries, size=2):
-    return tuple(tuple(rel(e, size) for e in row) for row in entries)
-
-
-def test_alt_identity_is_antidiagonal():
-    got = alt_identity(2)
-    assert got[0][0].is_empty() and got[1][1].is_empty()
-    assert got[0][1] == Rel.identity(2)
-    assert got[1][0] == Rel.identity(2)
-
-
-def test_alt_identity_is_unit():
-    u = mat([[[(0, 1)], [(1, 1)]], [[], [(0, 0)]]])
-    i = alt_identity(2)
-    assert alt_product(i, u) == u
-    assert alt_product(u, i) == u
-
-
-def test_row_times_column_expands():
-    # [R, 0] (.) [P; S] = R . S after the row swap
-    r = rel([(0, 1)])
-    s = rel([(1, 0)])
-    p = rel([(0, 0)])
-    got = alt_product(((r, Rel.empty(2)),), ((p,), (s,)))
-    assert got[0][0] == r.compose(s)
-
-
-def brute_force_relations(size):
-    cells = list(itertools.product(range(size), repeat=2))
-    for mask in range(2 ** len(cells)):
-        yield Rel.from_pairs(size, [c for i, c in enumerate(cells) if mask >> i & 1])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_alt_product_associative(data):
-    size = 2
-    rels = list(brute_force_relations(size))
-    pick = lambda: data.draw(st.sampled_from(rels))  # noqa: E731
-    u, v, w = (
-        ((pick(), pick()), (pick(), pick())),
-        ((pick(), pick()), (pick(), pick())),
-        ((pick(), pick()), (pick(), pick())),
-    )
-    assert alt_product(alt_product(u, v), w) == alt_product(u, alt_product(v, w))
-
-
-def test_alt_star_of_zero():
-    z = mat([[[], []], [[], []]])
-    assert alt_star(z) == alt_identity(2)
-
-
-def test_alt_star_all_identity_single_state():
-    one = Rel.identity(1)
-    u = ((one, one), (one, one))
-    got = alt_star(u)
-    assert all(entry == one for row in got for entry in row)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_alt_star_fixpoint_identity(data):
-    rels = list(brute_force_relations(2))
-    pick = lambda: data.draw(st.sampled_from(rels))  # noqa: E731
-    u = ((pick(), pick()), (pick(), pick()))
-    star = alt_star(u)
-    stepped = alt_product(star, u)
-    unioned = tuple(
-        tuple(a.union(b) for a, b in zip(r1, r2))
-        for r1, r2 in zip(alt_identity(2), stepped)
-    )
-    assert unioned == star
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda size: st.sets(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)))
+    .map(lambda pairs: Rel.from_pairs(size, pairs))))
+def test_rel_star_is_the_reflexive_transitive_closure(r):
+    closure = {(i, i) for i in range(r.size)} | set(r.pairs())
+    while True:
+        grown = closure | {(a, c) for a, b in closure for b2, c in closure if b == b2}
+        if grown == closure:
+            break
+        closure = grown
+    assert set(r.star().pairs()) == closure
 
 
 # -- identity automaton ------------------------------------------------------------
@@ -227,6 +162,18 @@ def test_trace_one_pass_expansion():
     assert traced.delta == frozenset({((0, 1), (1, 1))})
 
 
+def trace_in_order(t, w, order):
+    """``trace_automaton(t, w)`` with the glued pairs eliminated in
+    ``order``, a permutation of 1..|w|: a reindex moves pair ``order[k]``,
+    both its ends, to pair k + 1, and the result is traced."""
+    n = len(w)
+    sends = list(range(len(t.iface)))
+    for k, i in enumerate(order):
+        sends[i - 1], sends[n + i - 1] = k, n + k
+    moved = reindex_automaton(t, from_positions(t.iface, sends))
+    return trace_automaton(moved, moved.iface[:n])
+
+
 def test_trace_elimination_order_independent_small():
     q = frozenset({0, 1})
     rng_delta = frozenset(
@@ -240,9 +187,9 @@ def test_trace_elimination_order_independent_small():
     )
     t = TuringAutomaton(Obj.parse("AAAAA"), q, rng_delta)
     w = Obj.parse("AA")
-    base = trace_automaton(t, w, order=[1, 2])
-    other = trace_automaton(t, w, order=[2, 1])
-    assert base.delta == other.delta
+    base = trace_in_order(t, w, [1, 2])
+    other = trace_in_order(t, w, [2, 1])
+    assert base.delta == other.delta == trace_automaton(t, w).delta
 
 
 def test_trace_rank_mismatch():
@@ -460,8 +407,9 @@ def test_broken_alternation_changes_trace():
 # -- differential: the table form against the transition-set construction ----------------------
 
 # Copies of the operations as they were when an automaton was a frozenset of
-# transitions: each reads ``states`` and ``delta`` and builds its result
-# transition by transition through the public constructor.
+# transitions, with the trace as the chain search of ``brute_force_trace``:
+# each reads ``states`` and ``delta`` and builds its result transition by
+# transition through the public constructor.
 
 def set_identity(w):
     n = len(w)
@@ -507,43 +455,11 @@ def set_sum(t1, t2):
     return TuringAutomaton(t1.iface + t2.iface, states, frozenset(delta))
 
 
-def set_trace(t, w, order=None):
+def set_trace(t, w):
     n = len(w)
     if t.iface[: 2 * n] != w + w:
         raise RankMismatch(f"trace: iface {t.iface} does not start with {w}{w}")
-    order = list(range(1, n + 1) if order is None else order)
-    states = list(t.states)
-    index = {q: i for i, q in enumerate(states)}
-    size = len(states)
-    keys = list(range(1, len(t.iface) + 1)) + [ANCHOR]
-    table = {(x, y): Rel.empty(size) for x in keys for y in keys}
-    grouped = {}
-    for (q, x), (r, y) in t.delta:
-        grouped.setdefault((x, y), []).append((index[q], index[r]))
-    for xy, pairs in grouped.items():
-        table[xy] = Rel.from_pairs(size, pairs)
-    for i in order:
-        z1, z2 = i, n + i
-        star = alt_star(((table[(z1, z1)], table[(z1, z2)]), (table[(z2, z1)], table[(z2, z2)])))
-        keys = [k for k in keys if k not in (z1, z2)]
-        row_through = {x: alt_product(((table[(x, z1)], table[(x, z2)]),), star) for x in keys}
-        table = {
-            (x, y): table[(x, y)].union(
-                alt_product(row_through[x], ((table[(z1, y)],), (table[(z2, y)],)))[0][0]
-            )
-            for x in keys
-            for y in keys
-        }
-
-    def rename(x):
-        return x if x == ANCHOR else x - 2 * n
-
-    delta = {
-        ((states[qi], rename(x)), (states[ri], rename(y)))
-        for (x, y), rel in table.items()
-        for qi, ri in rel.pairs()
-    }
-    return TuringAutomaton(t.iface[2 * n :], t.states, frozenset(delta))
+    return TuringAutomaton(t.iface[2 * n :], t.states, brute_force_trace(t, n))
 
 
 def assert_same(got, want):

@@ -444,6 +444,7 @@ def test_soliton_needs_arguments(soliton_files, capsys):
     ("u -> v\nzz 1\n", "line 2: no internal vertex 'zz'"),
     ("u x\nv -> u\n", "line 1: port 'x' of vertex 'u' is not one of 1..2"),
     ("u 7\nv -> u\n", "line 1: port '7' of vertex 'u' is not one of 1..2"),
+    ("u -> v\nv -> u\nu 1\n", "line 3: vertex 'u' given twice"),
 ])
 def test_soliton_state_file_names_the_line_and_token(soliton_files, capsys, state, message):
     (soliton_files / "bad.txt").write_text(state)
@@ -487,6 +488,24 @@ def test_export_dot_names_an_edge_to_an_unknown_vertex(tmp_path, capsys):
 ])
 def test_export_dot_names_a_bad_number(tmp_path, capsys, text, message):
     f = tmp_path / "bad.graph"
+    f.write_text(text)
+    code, out, err = run(capsys, "export-dot", str(f))
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertex 0 in:1:A\nvertex 1 in:2:A\nvertex 0 in:1:A\nedge 0.1 1.1\n",
+     "line 3: vertex id 0 given twice"),
+    ("vertex 0 in:1:A\nvertex 1 in:2:A\nedge 0.1 1.1\nedge 0.1 1.1\n",
+     "line 4: edge 0.1 1.1 given twice"),
+    ("vertex 0 in:1:A\nvertex 1 in:2:A\nedge 0.1 1.1\nedge 1.1 0.1\n",
+     "line 4: edge 1.1 0.1 given twice"),
+    ("graph A\nvertex 0 in:1:A\nvertex 1 in:2:A\ngraph AA\nedge 0.1 1.1\n",
+     "line 4: second 'graph' line"),
+])
+def test_export_dot_names_a_repeated_line(tmp_path, capsys, text, message):
+    f = tmp_path / "twice.graph"
     f.write_text(text)
     code, out, err = run(capsys, "export-dot", str(f))
     assert code == 2 and not out

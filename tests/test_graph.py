@@ -10,7 +10,7 @@ import pytest
 import ima
 from ima import term as tm
 from ima.algebra import compose_in, tensor_in
-from ima.errors import RankMismatch, UnknownSymbol
+from ima.errors import ImaError, RankMismatch, UnknownSymbol
 from ima.graph import (
     GRAPH_ALGEBRA,
     InterfaceLabel,
@@ -625,6 +625,16 @@ def test_parse_graph_infers_single_sort():
     g = parse_graph(text)
     assert g.rank_word() == UNIT
     assert len(g.edges) == 1
+
+
+def test_parse_graph_keeps_parallel_edges():
+    # edges repeat only when both ends do: two edges between one pair of
+    # vertices at different ports are both kept
+    text = "graph ()\nvertex 0 sym:h\nvertex 1 sym:h\nedge 0.1 1.1\nedge 1.2 0.2\n"
+    g = parse_graph(text)
+    assert len(g.edges) == 2
+    with pytest.raises(ImaError, match="line 6: edge 1.1 0.1 given twice"):
+        parse_graph(text + "edge 1.1 0.1\n")
 
 
 def test_format_round_trip_with_multiedges_and_loops():

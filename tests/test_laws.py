@@ -14,14 +14,14 @@ def test_axioms_pass_in_all_algebras():
         laws.dflow_under_test,
     ):
         aut = factory()
-        report = laws.run_axioms(aut, cases=15, seed=3)
+        report = laws.run_families(aut, laws.AXIOM_FAMILIES, cases=15, seed=3)
         assert report.ok, "\n".join(report.lines())
 
 
 def test_dflow_inherits_axioms_at_two_data():
     aut = laws.dflow_under_test()
     assert aut.algebra.data == (0, 1)
-    report = laws.run_axioms(aut, cases=50, seed=5)
+    report = laws.run_families(aut, laws.AXIOM_FAMILIES, cases=50, seed=5)
     assert report.ok, "\n".join(report.lines())
 
 
@@ -31,13 +31,13 @@ def test_derived_pass_in_all_algebras():
         laws.automata_under_test,
         laws.dflow_under_test,
     ):
-        report = laws.run_derived(factory(), cases=15, seed=3)
+        report = laws.run_families(factory(), laws.DERIVED_FAMILIES, cases=15, seed=3)
         assert report.ok, "\n".join(report.lines())
 
 
 def test_mutation_is_caught_with_counterexample():
     broken = laws.automata_under_test(broken_alternation=True)
-    report = laws.run_axioms(broken, cases=40, seed=3)
+    report = laws.run_families(broken, laws.AXIOM_FAMILIES, cases=40, seed=3)
     assert not report.ok
     families = {f.family for f in report.failures}
     assert "I5" in families
@@ -48,13 +48,13 @@ def test_mutation_is_caught_with_counterexample():
 
 def test_report_is_deterministic():
     aut = laws.automata_under_test(broken_alternation=True)
-    r1 = laws.run_axioms(aut, cases=10, seed=77)
-    r2 = laws.run_axioms(aut, cases=10, seed=77)
+    r1 = laws.run_families(aut, laws.AXIOM_FAMILIES, cases=10, seed=77)
+    r2 = laws.run_families(aut, laws.AXIOM_FAMILIES, cases=10, seed=77)
     assert r1.lines() == r2.lines()
 
 
 def test_zero_cases_report():
-    report = laws.run_axioms(laws.graphs_under_test(), cases=0, seed=0)
+    report = laws.run_families(laws.graphs_under_test(), laws.AXIOM_FAMILIES, cases=0, seed=0)
     assert report.ok
     assert all(n == 0 for n in report.cases.values())
 

@@ -35,34 +35,51 @@ Pos = int | str
 Transition = tuple[tuple[object, Pos], tuple[object, Pos]]
 
 
-# -- binary relations as bit-packed boolean matrices -------------------------
+# -- binary relations as sparse rows of bitmasks ------------------------------
 
 
 @dataclass(frozen=True)
 class Rel:
-    """A relation over states 0..size-1; row i is a bitmask of successors."""
+    """A relation over states 0..size-1.  ``succ`` maps each state that has
+    successors to the bitmask of its successors; states without successors
+    have no key, so the operations visit only non-zero rows, as row-wise
+    sparse products do (Gustavson 1978).  No map holds a zero row, so
+    ``==`` is equality of relations.  A ``Rel`` never changes, and results
+    may share their maps with the operands."""
 
     size: int
-    rows: tuple[int, ...]
+    succ: dict[int, int]
+
+    def __hash__(self):
+        return hash((self.size, frozenset(self.succ.items())))
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """The dense view: row i is the bitmask of state i's successors."""
+        rows = [0] * self.size
+        for i, row in self.succ.items():
+            rows[i] = row
+        return tuple(rows)
 
     @staticmethod
     def empty(size: int) -> "Rel":
-        return Rel(size, (0,) * size)
+        return Rel(size, {})
 
     @staticmethod
     def identity(size: int) -> "Rel":
-        return Rel(size, tuple(1 << i for i in range(size)))
+        return Rel(size, {i: 1 << i for i in range(size)})
 
     @staticmethod
     def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> "Rel":
-        rows = [0] * size
+        succ: dict[int, int] = {}
         for i, j in pairs:
-            rows[i] |= 1 << j
-        return Rel(size, tuple(rows))
+            succ[i] = succ.get(i, 0) | 1 << j
+        return Rel(size, succ)
 
     def pairs(self) -> list[tuple[int, int]]:
         out = []
-        for i, row in enumerate(self.rows):
+        for i in sorted(self.succ):
+            row = self.succ[i]
             while row:
                 low = row & -row
                 out.append((i, low.bit_length() - 1))
@@ -70,43 +87,54 @@ class Rel:
         return out
 
     def union(self, other: "Rel") -> "Rel":
-        return Rel(self.size, tuple(a | b for a, b in zip(self.rows, other.rows)))
+        if not other.succ:
+            return self
+        if not self.succ:
+            return other
+        succ = dict(self.succ)
+        for i, row in other.succ.items():
+            succ[i] = succ.get(i, 0) | row
+        return Rel(self.size, succ)
 
     def compose(self, other: "Rel") -> "Rel":
-        rows2 = other.rows
-        out = []
-        for row in self.rows:
+        left, right = self.succ, other.succ
+        if not left or not right:
+            return Rel.empty(self.size)
+        succ = {}
+        for i, row in left.items():
             acc = 0
             while row:
                 low = row & -row
-                acc |= rows2[low.bit_length() - 1]
+                acc |= right.get(low.bit_length() - 1, 0)
                 row ^= low
-            out.append(acc)
-        return Rel(self.size, tuple(out))
+            if acc:
+                succ[i] = acc
+        return Rel(self.size, succ)
 
     def star(self) -> "Rel":
         """The reflexive-transitive closure: row i is the set of states a
         search along the rows reaches from state i."""
-        out = []
+        succ = self.succ
+        out = {}
         for i in range(self.size):
             reach = todo = 1 << i
             while todo:
                 low = todo & -todo
                 todo ^= low
-                new = self.rows[low.bit_length() - 1] & ~reach
+                new = succ.get(low.bit_length() - 1, 0) & ~reach
                 reach |= new
                 todo |= new
-            out.append(reach)
-        return Rel(self.size, tuple(out))
+            out[i] = reach
+        return Rel(self.size, out)
 
     def converse(self) -> "Rel":
-        rows = [0] * self.size
+        succ: dict[int, int] = {}
         for i, j in self.pairs():
-            rows[j] |= 1 << i
-        return Rel(self.size, tuple(rows))
+            succ[j] = succ.get(j, 0) | 1 << i
+        return Rel(self.size, succ)
 
     def is_empty(self) -> bool:
-        return all(r == 0 for r in self.rows)
+        return not self.succ
 
 
 Table = dict[tuple[Pos, Pos], Rel]
@@ -175,7 +203,7 @@ class TuringAutomaton:
         return hash((self.iface, self.states, self.delta))
 
     def __repr__(self):
-        count = sum(row.bit_count() for rel in self.table.values() for row in rel.rows)
+        count = sum(row.bit_count() for rel in self.table.values() for row in rel.succ.values())
         return f"<TuringAutomaton {self.iface} |Q|={len(self.names)} |delta|={count}>"
 
 
@@ -222,18 +250,24 @@ def sum_automata(t1: TuringAutomaton, t2: TuringAutomaton) -> TuringAutomaton:
 
     State ``(q1, q2)`` is number ``i * |Q2| + j`` when ``q1`` and ``q2``
     are numbers ``i`` and ``j``, so the left summand's relations become
-    ``R ⊗ I`` and the right's ``I ⊗ R``.  Only the anchor-to-anchor entry
-    can come from both; it is their union."""
+    ``R ⊗ I`` and the right's ``I ⊗ R``, spread from their non-zero rows
+    alone.  Only the anchor-to-anchor entry can come from both; it is
+    their union."""
     n1, n2 = len(t1.names), len(t2.names)
     size = n1 * n2
     table: Table = {}
     for xy, rel in t1.table.items():
-        spread = [_spread(row, n2) for row in rel.rows]
-        table[xy] = Rel(size, tuple(s << j for s in spread for j in range(n2)))
+        succ = {}
+        for i, row in rel.succ.items():
+            spread = _spread(row, n2)
+            for j in range(n2):
+                succ[i * n2 + j] = spread << j
+        table[xy] = Rel(size, succ)
     shift = len(t1.iface)
     for (x, y), rel in t2.table.items():
         xy = (x if x == ANCHOR else x + shift, y if y == ANCHOR else y + shift)
-        moved = Rel(size, tuple(row << i * n2 for i in range(n1) for row in rel.rows))
+        moved = Rel(size, {i * n2 + j: row << i * n2
+                           for i in range(n1) for j, row in rel.succ.items()})
         table[xy] = table[xy].union(moved) if xy in table else moved
     names = tuple((q1, q2) for q1 in t1.names for q2 in t2.names)
     return TuringAutomaton._assemble(t1.iface + t2.iface, names, table)
@@ -276,7 +310,7 @@ def trace_automaton(t: TuringAutomaton, w: Obj) -> TuringAutomaton:
         return x if x == ANCHOR else x - 2 * n
 
     kept = {(rename(x), rename(y)): table[(x, y)]
-            for x in sources for y in targets if any(table[(x, y)].rows)}
+            for x in sources for y in targets if table[(x, y)].succ}
     return TuringAutomaton._assemble(t.iface[2 * n :], t.names, kept)
 
 
@@ -287,7 +321,7 @@ def reverse(t: TuringAutomaton) -> TuringAutomaton:
 
 def is_deterministic(t: TuringAutomaton) -> bool:
     """At most one next state for each (state, entry, exit) triple."""
-    return all(row & (row - 1) == 0 for rel in t.table.values() for row in rel.rows)
+    return all(row & (row - 1) == 0 for rel in t.table.values() for row in rel.succ.values())
 
 
 def atomic_switch(n: int, sort: Sort = Sort("1")) -> TuringAutomaton:

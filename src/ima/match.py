@@ -10,7 +10,12 @@ only the nodes with an edge into the splitter, and re-queues every piece
 of a split cell but the largest (Hopcroft 1971; Paige & Tarjan, "Three
 partition refinement algorithms", 1987), as McKay & Piperno refine in
 "Practical graph isomorphism II" (2014).  Each node lies in O(log n)
-splitters, so refining m edges sets O(m log n) marks.
+splitters, so refining m edges sets O(m log n) marks.  Then the two
+sides must have the same connected components, each counted by its size
+and the histogram of its refined colours: refinement cannot see
+component sizes, and without this check the search would try every
+branch of, say, four ladders against two ladders and one of twice the
+length.
 
 The search individualises and refines, as nauty and bliss do (McKay &
 Piperno 2014; Junttila & Kaski 2007): it maps one node of the smallest
@@ -24,6 +29,7 @@ check of their own.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Collection, Hashable, Iterable
 
 Edge = tuple[Hashable, Hashable, Hashable]  # (source node, label, target node)
@@ -47,9 +53,10 @@ def find_bijection(
     ]
     if n1 != len(colors2) or len(edges[0]) != len(edges[1]):
         return None
+    both = edges[0] | edges[1]
     out: list[list] = [[] for _ in nodes]
     inc: list[list] = [[] for _ in nodes]
-    for u, lab, v in edges[0] | edges[1]:
+    for u, lab, v in both:
         out[u].append((lab, v))
         inc[v].append((lab, u))
 
@@ -60,6 +67,8 @@ def find_bijection(
     color = refine(n1, [palette.setdefault(c, len(palette))
                         for c in (*colors1.values(), *colors2.values())],
                    out, inc, range(len(palette)))
+    if color is not None and not same_components(n1, color, both):
+        return None
     stack = []
     while True:
         if color is not None:
@@ -84,6 +93,33 @@ def find_bijection(
         color = list(parent)
         color[v] = color[w] = fresh
         color = refine(n1, color, out, inc, [fresh])
+
+
+def same_components(n1: int, color: list[int], edges: Iterable[tuple[int, int, int]]) -> bool:
+    """Whether the two sides have the same multiset of connected
+    components, each taken as its size and the histogram of its nodes'
+    colours ``color``.  A bijection that carries the edges across maps
+    components onto components, and refined colours onto themselves, so
+    sides that differ here have none; colour refinement alone cannot
+    count component sizes.  Components are found by union-find over
+    ``edges``, which join nodes of one side each."""
+    parent = list(range(len(color)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, _, v in edges:
+        parent[find(u)] = find(v)
+    members: dict[int, list[int]] = {}
+    for v, c in enumerate(color):
+        members.setdefault(find(v), []).append(c)
+    census: list[Counter] = [Counter(), Counter()]
+    for root, colours in members.items():
+        census[root >= n1][tuple(sorted(colours))] += 1
+    return census[0] == census[1]
 
 
 def refine(n1: int, color: list[int], out: list[list], inc: list[list],

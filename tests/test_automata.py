@@ -1,8 +1,10 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ima.errors import InvalidArity, RankMismatch
 from ima.automata import (
@@ -60,6 +62,73 @@ def test_rel_star_is_the_reflexive_transitive_closure(r):
             break
         closure = grown
     assert set(r.star().pairs()) == closure
+
+
+# A tuple of dense rows, row i the bitmask of state i's successors, is the
+# reference the sparse Rel is checked against.
+
+def dense(size, pairs):
+    rows = [0] * size
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def dense_pairs(rows):
+    return [(i, j) for i, row in enumerate(rows) for j in range(len(rows)) if row >> j & 1]
+
+
+def dense_compose(a, b):
+    return tuple(
+        functools.reduce(operator.or_, (b[j] for j in range(len(b)) if row >> j & 1), 0)
+        for row in a)
+
+
+def dense_star(a):
+    # Warshall's closure of the reflexive relation
+    rows = [row | 1 << i for i, row in enumerate(a)]
+    for k in range(len(rows)):
+        for i in range(len(rows)):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return tuple(rows)
+
+
+@st.composite
+def same_size_pairs(draw):
+    """A size from 1 to 70, so that some rows cross 64 bits, and two lists
+    of pairs over it; now and then every pair leaves state 0."""
+    size = draw(st.integers(1, 70))
+    target = st.integers(0, size - 1)
+    lists = []
+    for _ in range(2):
+        source = draw(st.sampled_from([target, st.just(0)]))
+        lists.append(draw(st.lists(st.tuples(source, target), max_size=2 * size)))
+    return size, lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_size_pairs())
+@example((5, [[(0, 3)], [(0, 0), (0, 4)]]))  # only row 0 is non-zero: any(rows) is still True
+def test_rel_equals_the_dense_reference(case):
+    size, (p, q) = case
+    r, s = Rel.from_pairs(size, p), Rel.from_pairs(size, q)
+    a, b = dense(size, p), dense(size, q)
+    assert r.size == size and r.rows == a and s.rows == b
+    assert Rel.empty(size) == Rel.from_pairs(size, []) and Rel.empty(size).rows == (0,) * size
+    assert r.pairs() == dense_pairs(a)
+    assert any(r.rows) == (not r.is_empty()) and r.is_empty() == (not any(a))
+    assert (r == s) == (a == b)
+    # results equal the relation built from their pairs, so no operation
+    # keeps a zero row
+    for got, want in ((r.union(s), tuple(x | y for x, y in zip(a, b))),
+                      (r.compose(s), dense_compose(a, b)),
+                      (s.compose(r), dense_compose(b, a)),
+                      (r.star(), dense_star(a)),
+                      (r.converse(), dense(size, [(j, i) for i, j in dense_pairs(a)]))):
+        assert got.rows == want
+        assert got == Rel.from_pairs(size, dense_pairs(want))
+        assert hash(got) == hash(Rel.from_pairs(size, reversed(dense_pairs(want))))
 
 
 # -- identity automaton ------------------------------------------------------------

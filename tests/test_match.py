@@ -455,3 +455,73 @@ def test_isomorphic_tape_scales_near_linearly():
     finally:
         gc.enable()
     assert best[4000] <= 8 * best[1000]
+
+
+def ladder_copies(k: int, length: int) -> SigmaGraph:
+    """``k`` disjoint circular ladders ``rung : AAB``: two rings of
+    ``length`` rungs, joined rung to rung by their B ports."""
+    rung = SymbolLabel("rung", Obj.parse("AAB"))
+    vertices = {v: rung for v in range(2 * length * k)}
+    edges = []
+    for c in range(k):
+        base = 2 * length * c
+        for side in (0, length):
+            edges += [{(base + side + i, 1), (base + side + (i + 1) % length, 0)}
+                      for i in range(length)]
+        edges += [{(base + i, 2), (base + length + i, 2)} for i in range(length)]
+    return SigmaGraph(vertices, edges)
+
+
+def shape(g: SigmaGraph):
+    """Sorted component sizes and sorted (port, port) edge types of a
+    graph whose vertices share one symbol."""
+    parent = {v: v for v in g.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    types = []
+    for e in g.edges:
+        (a, i), (b, j) = sorted(e)
+        parent[find(a)] = find(b)
+        types.append(tuple(sorted((i, j))))
+    return sorted(Counter(map(find, g.vertices)).values()), sorted(types)
+
+
+def shape_swapped(g: SigmaGraph, rng: random.Random) -> SigmaGraph:
+    """Exchange one endpoint each of two edges whose exchanged ends share a
+    sort, choosing a swap that changes :func:`shape`, so the result is
+    certainly not isomorphic to ``g``."""
+    edges = sorted(tuple(sorted(e)) for e in g.edges)
+    while True:
+        e1, e2 = rng.sample(edges, 2)
+        p, q = e1 if rng.random() < 0.5 else e1[::-1]
+        r, s = e2 if rng.random() < 0.5 else e2[::-1]
+        if g.port_sort(q) != g.port_sort(s):
+            continue
+        rest = [set(e) for e in edges if e not in (e1, e2)]
+        out = SigmaGraph(g.vertices, rest + [{p, s}, {r, q}])
+        if shape(out) != shape(g):
+            return out
+
+
+def test_swapped_ladders_are_rejected_fast():
+    # colour refinement cannot see component sizes, so four ladders of 8
+    # rungs against two of them and one of 16 rungs made the search try
+    # every branch, for seconds on such a pair
+    g = ladder_copies(4, 8)
+    assert isomorphic(g, shuffled(g, random.Random(0)))
+    sizes = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        h = shuffled(shape_swapped(g, rng), rng)
+        sizes[tuple(shape(h)[0])] += 1
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert not isomorphic(g, h)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05, (seed, best)
+    assert sizes[(16, 16, 32)] > 0

@@ -15,9 +15,9 @@ moves, ``I ⊗ R`` for the right's), reindex renames table keys and shares
 the relations, and trace is state elimination over the glued ends:
 control that exits at one end of a glued pair resumes at the other, so
 each end is a node, and eliminating it extends every surviving entry by
-the paths through it, with its loop closed by the reflexive-transitive
-closure ``Rel.star``.  The ``states`` and ``delta`` sets are views
-decoded from the table on first read.
+the paths through it, with its loop, when it has one, closed by the
+reflexive-transitive closure ``Rel.star``.  The ``states`` and ``delta``
+sets are views decoded from the table on first read.
 """
 
 from __future__ import annotations
@@ -97,26 +97,15 @@ class Rel:
         return Rel(self.size, succ)
 
     def compose(self, other: "Rel") -> "Rel":
-        left, right = self.succ, other.succ
-        if not left or not right:
-            return Rel.empty(self.size)
-        succ = {}
-        for i, row in left.items():
-            acc = 0
-            while row:
-                low = row & -row
-                acc |= right.get(low.bit_length() - 1, 0)
-                row ^= low
-            if acc:
-                succ[i] = acc
-        return Rel(self.size, succ)
+        return _compose_split(self.size, _split(self), other)
 
     def star(self) -> "Rel":
         """The reflexive-transitive closure: row i is the set of states a
-        search along the rows reaches from state i."""
+        search along the rows reaches from state i.  Only states with
+        successors are searched from; every other row is its own bit."""
         succ = self.succ
-        out = {}
-        for i in range(self.size):
+        out = {i: 1 << i for i in range(self.size)}
+        for i in succ:
             reach = todo = 1 << i
             while todo:
                 low = todo & -todo
@@ -135,6 +124,36 @@ class Rel:
 
     def is_empty(self) -> bool:
         return not self.succ
+
+
+def _split(rel: Rel) -> list[tuple[int, list[int]]]:
+    """Each non-zero row of ``rel`` with the numbers of its successors, so
+    that one relation composed with many is decoded once."""
+    out = []
+    for i, row in rel.succ.items():
+        js = []
+        while row:
+            low = row & -row
+            js.append(low.bit_length() - 1)
+            row ^= low
+        out.append((i, js))
+    return out
+
+
+def _compose_split(size: int, split: list[tuple[int, list[int]]], other: Rel) -> Rel:
+    """The relation ``split`` lists (see ``_split``), over ``size`` states,
+    followed by ``other``; a new empty relation when either is empty."""
+    right = other.succ
+    if not split or not right:
+        return Rel.empty(size)
+    succ = {}
+    for i, js in split:
+        acc = 0
+        for j in js:
+            acc |= right.get(j, 0)
+        if acc:
+            succ[i] = acc
+    return Rel(size, succ)
 
 
 Table = dict[tuple[Pos, Pos], Rel]
@@ -281,7 +300,10 @@ def trace_automaton(t: TuringAutomaton, w: Obj) -> TuringAutomaton:
     "exit at ``v``, resume at ``u``": its in-edges are the entries
     ``(x, v)``, its out-edges the entries ``(u, y)`` and its loop the
     entry ``(u, v)``.  Eliminating the node adds every path through it to
-    the entries that survive it (Brzozowski & McCluskey 1963).
+    the entries that survive it (Brzozowski & McCluskey 1963).  A path
+    enters by ``(x, v)``, goes round the loop, closed by ``Rel.star``, and
+    leaves by ``(u, y)``; a node whose loop is empty is left straight away,
+    with no closure to compose.
     """
     n = len(w)
     if t.iface[: 2 * n] != w + w:
@@ -289,7 +311,8 @@ def trace_automaton(t: TuringAutomaton, w: Obj) -> TuringAutomaton:
 
     # the elimination runs on the dense table over all positions and the
     # anchor; every absent entry is one shared empty relation
-    empty = Rel.empty(len(t.names))
+    size = len(t.names)
+    empty = Rel.empty(size)
     keys: list[Pos] = list(range(1, len(t.iface) + 1)) + [ANCHOR]
     entry = t.table.get
     table: Table = {(x, y): entry((x, y), empty) for x in keys for y in keys}
@@ -300,11 +323,15 @@ def trace_automaton(t: TuringAutomaton, w: Obj) -> TuringAutomaton:
         for v, u in ((i, n + i), (n + i, i)):
             sources.remove(u)
             targets.remove(v)
-            loop = table[(u, v)].star()
+            loop = table[(u, v)]
+            loop = loop.star() if loop.succ else None
+            exits = [(y, table[(u, y)]) for y in targets]
             for x in sources:
-                through = table[(x, v)].compose(loop)
-                for y in targets:
-                    table[(x, y)] = table[(x, y)].union(through.compose(table[(u, y)]))
+                through = table[(x, v)] if loop is None else table[(x, v)].compose(loop)
+                # decoded once, composed with every exit entry
+                paths = _split(through)
+                for y, out in exits:
+                    table[(x, y)] = table[(x, y)].union(_compose_split(size, paths, out))
 
     def rename(x: Pos) -> Pos:
         return x if x == ANCHOR else x - 2 * n

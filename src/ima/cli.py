@@ -103,8 +103,8 @@ def load_machine(path: str) -> GraphMachine:
             if not isinstance(auto, DFlowAutomaton):
                 raise ImaError(f"automaton file {spec!r} for {name!r} has no data")
             omega[name] = auto
-        elif (isinstance(spec, dict) and spec.get("builtin") in BUILTIN_AUTOMATA
-              and isinstance(spec.get("n"), int)):
+        elif (isinstance(spec, dict) and isinstance(spec.get("builtin"), str)
+              and spec["builtin"] in BUILTIN_AUTOMATA and isinstance(spec.get("n"), int)):
             omega[name] = BUILTIN_AUTOMATA[spec["builtin"]](spec["n"])
         else:
             raise bad(f"'omega' entry {name!r}", spec,

@@ -362,6 +362,42 @@ def test_trace_matches_chain_oracle():
         assert got == brute_force_trace(t, n), f"case {case}"
 
 
+def test_trace_matches_chain_oracle_on_switch_sums(monkeypatch):
+    # Kronecker sums of 2-3 switches have 9-81 states.  Shuffled and glued
+    # over 1-3 pairs, some glued ends face a port of their own switch (a
+    # loop to close) and some a port of another (no loop until an earlier
+    # elimination makes one), so both kinds of end occur over a large |Q|.
+    seed = 190
+    rng = random.Random(seed)
+    closed = []
+    star = Rel.star
+
+    def spy(rel):
+        closed.append(rel.size)
+        return star(rel)
+
+    monkeypatch.setattr(Rel, "star", spy)
+    ends = 0
+    for case in range(30):
+        count = rng.choice((2, 3))
+        arities = [rng.randint(3, 4 if count == 3 else 9) for _ in range(count)]
+        while functools.reduce(operator.mul, arities) > 81:
+            arities[arities.index(max(arities))] -= 1
+        bases = [rng.choice((atomic_switch, lambda k: dflow.alternating_switch(k).base))(k)
+                 for k in arities]
+        t = functools.reduce(sum_automata, bases)
+        sends = list(range(len(t.iface)))
+        rng.shuffle(sends)
+        t = reindex_automaton(t, from_positions(t.iface, sends))
+        n = rng.randint(1, min(3, len(t.iface) // 2))
+        w = t.iface[:n]
+        assert 9 <= len(t.names) <= 81 and t.iface[: 2 * n] == w + w
+        got = trace_automaton(t, w).delta
+        assert got == brute_force_trace(t, n), f"seed {seed} case {case}"
+        ends += 2 * n
+    assert 0 < len(closed) < ends, f"seed {seed}: {len(closed)} loops closed of {ends} ends"
+
+
 # -- the switch examples, clause by clause ---------------------------------------------------
 
 def expected_atomic_delta(n):
@@ -590,3 +626,20 @@ def test_evaluate_decodes_no_intermediate_delta(monkeypatch):
     assert len(got.delta) > 0 and decoded == [len(got.names)]
     got.delta
     assert len(decoded) == 1
+
+
+def test_evaluate_closes_no_empty_loop(monkeypatch):
+    # a glued end whose loop entry is empty is eliminated without Rel.star
+    # and without composing with the identity it would return
+    closed = []
+    star = Rel.star
+
+    def spy(rel):
+        closed.append(rel.is_empty())
+        return star(rel)
+
+    monkeypatch.setattr(Rel, "star", spy)
+    m = dflow.tm_encode(dflow.unary_increment_tm(), 6)
+    got = dflow.evaluate(m).base
+    assert True not in closed
+    assert got.delta == dflow.walk_closure(m)

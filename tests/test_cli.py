@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import random
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ima import dflow, term as tm
 from ima.cli import load_machine, main
@@ -212,11 +219,14 @@ def test_machine_rejects_omega_file_without_data(machine_files, capsys):
     [
         ({"data": 5}, "'data' must be a list, not 5"),
         ({"omega": {"c2": [1]}}, "'omega' entry 'c2' must be an automaton file name or "),
+        ({"omega": {"c2": {"builtin": ["alternating_switch"], "n": 2}}},
+         "'omega' entry 'c2' must be an automaton file name or "),
         ({"omega": []}, "'omega' must be an object, not []"),
         (None, 'the document must be an object, not ["path.graph", [0, 1]]'),
         ({"graph": 3}, "'graph' must be a graph file name, not 3"),
     ],
-    ids=["data-number", "omega-entry-list", "omega-list", "list-document", "graph-number"],
+    ids=["data-number", "omega-entry-list", "builtin-list", "omega-list", "list-document",
+         "graph-number"],
 )
 def test_eval_machine_document_of_wrong_shape(machine_files, capsys, change, message):
     doc = json.loads((machine_files / "m.json").read_text())
@@ -583,3 +593,151 @@ def test_soliton_graph_file_rejects_a_misread_interface_list(soliton_files, caps
     )
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+# -- fuzz gate: structure-aware mutations of valid files ------------------------------------
+#
+# Each kind of file the CLI reads starts from a valid example, takes one to
+# three mutations in the style of grammar-based fuzzing (drop a key or line,
+# swap a value's type, wrap a value in a list, change a tuple's length,
+# repeat a line or list item, nest a term deeper) and is run through every
+# command that reads it.  Every run must exit 0 or 2: a reader that lets a
+# malformed file through as an untyped exception fails the gate.  Drawn
+# values stay small, so no example asks for a large switch arity or tape.
+
+FUZZ_FILES = {
+    "path.graph": "graph 11\nvertex 0 sym:c2\nvertex 1 in:1:1\nvertex 2 in:2:1\n"
+                  "edge 1.1 0.1\nedge 0.2 2.1\n",
+    "m.json": {"graph": "path.graph", "data": [0, 1],
+               "omega": {"c2": {"builtin": "alternating_switch", "n": 2}}},
+    "mf.json": {"graph": "path.graph", "data": [0, 1], "omega": {"c2": "sw.auto.json"}},
+    "s.json": {"0": 1},
+    "sw.auto.json": json.loads(dflow.format_automaton(dflow.alternating_switch(2))),
+    "id.auto.json": {"interface": "AA", "states": [0], "transitions": [[0, 1, 0, 2], [0, 2, 0, 1]]},
+    "f.term": "sig f BA\natom f + id(A)\n",
+    "h.term": "sig h AABB\ntr(B, tr(A, atom h))\n",
+    "g.txt": "interfaces a b\nedge a u\nedge u v\nedge v b\n",
+    "q.txt": "u -> v\nv -> u\n",
+}
+
+SIMULATE = ("simulate", "--machine", "m.json", "--state", "s.json", "--from", "1", "--to", "2")
+SOLITON_WALK = ("soliton", "--graph", "g.txt", "--state", "q.txt", "--walk", "1,2")
+FUZZ_COMMANDS = {
+    "path.graph": [("export-dot", "path.graph"), ("eval", "--machine", "m.json"),
+                   SIMULATE],
+    "m.json": [("eval", "--machine", "m.json"), SIMULATE],
+    "mf.json": [("eval", "--machine", "mf.json")],
+    "s.json": [SIMULATE],
+    "sw.auto.json": [("eval", "--automaton", "sw.auto.json"), ("eval", "--machine", "mf.json")],
+    "id.auto.json": [("eval", "--automaton", "id.auto.json")],
+    "f.term": [("parse", "f.term"), ("normalize", "f.term"), ("eq", "f.term", "h.term")],
+    "h.term": [("normalize", "h.term"), ("eq", "f.term", "h.term")],
+    "g.txt": [("soliton", "--graph", "g.txt", "--enumerate-pims"), SOLITON_WALK],
+    "q.txt": [SOLITON_WALK],
+}
+
+SMALL_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3), st.sampled_from([0.5, -2.0]),
+    st.sampled_from(["", "x", "*", "1", "A", "c2", "path.graph"]), st.just([]), st.just({}),
+)
+TOKENS = ["0", "1", "2", "7", "-1", "x", "A", "*", "->", ":", "()", "1.1", "in:1:1", "sym:c2",
+          "id(A)", "atom", "tr(A,", ")", "+", "."]
+NESTINGS = ["({})", "tr((), {})", "id() + ({})", "({}) . id(A)", "tr(A, id(A) + ({}))"]
+
+
+def _json_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _json_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_json(draw, doc):
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        node = _json_at(doc, path)
+        kind = draw(st.sampled_from(["drop", "retype", "wrap", "resize", "repeat"]))
+        if kind == "drop" and path:
+            del _json_at(doc, path[:-1])[path[-1]]
+            continue
+        if kind == "retype":
+            new = draw(SMALL_VALUES.filter(lambda v, old=node: type(v) is not type(old)))
+        elif kind == "resize" and isinstance(node, list):
+            new = node[:-1] if node and draw(st.booleans()) else node + [draw(SMALL_VALUES)]
+        elif kind == "repeat" and isinstance(node, list) and node:
+            i = draw(st.integers(0, len(node) - 1))
+            new = node[: i + 1] + [copy.deepcopy(node[i])] + node[i + 1 :]
+        else:
+            new = [node]
+        if path:
+            _json_at(doc, path[:-1])[path[-1]] = new
+        else:
+            doc = new
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_text(draw, text, term=False):
+    lines = text.splitlines()
+    kinds = ["drop", "repeat", "retype", "shorten", "lengthen"] + (["nest"] * 2 if term else [])
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            lines = [draw(st.sampled_from(TOKENS))]
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split() or [""]
+        j = draw(st.integers(0, len(tokens) - 1))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "drop":
+            del lines[i]
+            continue
+        if kind == "repeat":
+            lines.insert(i, lines[i])
+            continue
+        if kind == "retype":
+            # one piece of a token, as in the 1.1 of an edge end or the sym of sym:c2
+            pieces = re.split(r"([.:])", tokens[j])
+            k = draw(st.sampled_from(range(0, len(pieces), 2)))
+            pieces[k] = draw(st.sampled_from(TOKENS))
+            tokens[j] = "".join(pieces)
+        elif kind == "shorten":
+            del tokens[j]
+        elif kind == "lengthen":
+            tokens.insert(j, draw(st.sampled_from(TOKENS + [tokens[j]])))
+        else:
+            tokens = [draw(st.sampled_from(NESTINGS)).format(" ".join(tokens))]
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def mutation_of(name):
+    valid = FUZZ_FILES[name]
+    if isinstance(valid, str):
+        return mutated_text(valid, term=name.endswith(".term"))
+    return mutated_json(valid)
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_FILES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_files_exit_zero_or_two(name, data):
+    text = data.draw(mutation_of(name), label=name)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for other, valid in FUZZ_FILES.items():
+            (root / other).write_text(valid if isinstance(valid, str) else json.dumps(valid))
+        (root / name).write_text(text)
+        for command in FUZZ_COMMANDS[name]:
+            argv = [str(root / a) if a in FUZZ_FILES else a for a in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), f"{command} on {name}:\n{text}\nstderr: {err.getvalue()}"

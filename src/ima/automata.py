@@ -185,7 +185,7 @@ class TuringAutomaton:
                 if s not in index:
                     raise ValueError(f"transition mentions unknown state {s!r}")
             for z in (x, y):
-                if z != ANCHOR and not (isinstance(z, int) and 1 <= z <= n):
+                if not _in_range(z, n):
                     raise ValueError(f"position {z!r} outside interface of size {n}")
             grouped.setdefault((x, y), []).append((index[q], index[r]))
         self.iface, self.names = iface, names

@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     except ImaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -370,10 +370,10 @@ class StepIndex:
         g = m.graph
         self.data = m.data
         k = len(m.data)
-        self.vids = tuple(g.internal_vertices())
         # evaluate sums the atoms in this order, then one one-state summand
         # per interface-to-interface wire and per loop vertex
         plan = gr.decomposition_plan(g)
+        self.vids = tuple(vid for vid, _, _ in plan.atoms)
         self.silent = len(plan.wire_sorts) + len(plan.loop_sorts)
         self.slot = {vid: i for i, vid in enumerate(self.vids)}
         self.names = tuple(m.local(vid).base.names for vid in self.vids)

@@ -443,11 +443,14 @@ def decompose(g: SigmaGraph):
 
 
 def format_graph(g: SigmaGraph) -> str:
+    """The ``graph/vertex/edge`` text of ``g``; every symbol vertex carries
+    its rank word, as in ``sym:f:AB`` or ``sym:g0:()``, so that
+    :func:`parse_graph` reads back a graph isomorphic to ``g``."""
     lines = [f"graph {g.rank_word()}"]
     for vid in sorted(g.vertices):
         lab = g.vertices[vid]
         if isinstance(lab, SymbolLabel):
-            text = f"sym:{lab.name}"
+            text = f"sym:{lab.name}:{lab.rank}"
         elif isinstance(lab, InterfaceLabel):
             text = f"in:{lab.serial}:{lab.sort.name}"
         else:
@@ -466,15 +469,18 @@ def _is_int(token: str) -> bool:
     return True
 
 
-def parse_graph(text: str, alphabet: RankedAlphabet | None = None) -> SigmaGraph:
+def parse_graph(text: str) -> SigmaGraph:
     """Read the ``graph/vertex/edge`` format.
 
-    Symbol ranks come from ``alphabet`` when given; otherwise port sorts
-    are inferred by propagating interface sorts along edges, with any
-    unconstrained port defaulting to the single sort of the file when
-    that is unambiguous.  A second ``graph`` line, or a vertex id or an
-    edge (in either direction) given twice, raises ``ImaError`` naming
-    the line.
+    Words read one sort per character: the ``graph`` line, the rank of a
+    symbol vertex ``sym:<name>:<word>`` and the sort of an ``in:`` or
+    ``loop:`` vertex, which must be one character.  A rank-less
+    ``sym:<name>`` has as many ports as the highest port its edges name,
+    all of the one sort of the file's ``graph`` line, interfaces and
+    ranked symbols (``DEFAULT_SORT`` when there is none); in a file of two
+    or more sorts it raises ``ImaError`` naming the vertex.  A second
+    ``graph`` line, or a vertex id or an edge (in either direction) given
+    twice, raises ``ImaError`` naming the line.
     """
     rank_decl = None
     raw_vertices: dict[int, str] = {}
@@ -517,59 +523,42 @@ def parse_graph(text: str, alphabet: RankedAlphabet | None = None) -> SigmaGraph
         degree[a] = max(degree[a], i + 1)
         degree[b] = max(degree[b], j + 1)
 
-    known: dict[tuple[int, int], Sort] = {}
+    def one_sort(vid: int, name: str, text_label: str) -> Sort:
+        if len(name) > 1:
+            raise ImaError(f"vertex {vid}: sort {name!r} of {text_label!r} is not one character")
+        return Sort(name)
+
     vertices: dict[int, Label] = {}
-    pending: list[tuple[int, str]] = []
+    rankless: dict[int, str] = {}
     for vid, text_label in raw_vertices.items():
         kind, _, rest = text_label.partition(":")
         if kind == "in":
             serial, _, sortname = rest.partition(":")
             if not _is_int(serial):
                 raise ImaError(f"vertex {vid}: serial {serial!r} of {text_label!r} is not an integer")
-            lab = InterfaceLabel(int(serial), Sort(sortname))
-            known[(vid, 0)] = lab.sort
-            vertices[vid] = lab
+            vertices[vid] = InterfaceLabel(int(serial), one_sort(vid, sortname, text_label))
         elif kind == "loop":
-            vertices[vid] = LoopLabel(Sort(rest))
+            vertices[vid] = LoopLabel(one_sort(vid, rest, text_label))
+        elif kind == "sym" and ":" in rest:
+            name, _, word = rest.rpartition(":")
+            vertices[vid] = SymbolLabel(name, Obj.parse(word))
         elif kind == "sym":
-            if alphabet is not None:
-                rank = alphabet.rank(rest)
-                for i, sort in enumerate(rank):
-                    known[(vid, i)] = sort
-                vertices[vid] = SymbolLabel(rest, rank)
-            else:
-                pending.append((vid, rest))
+            rankless[vid] = rest
         else:
             raise ValueError(f"unknown vertex label {text_label!r}")
 
-    if pending:
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in raw_edges.values():
-                if a in known and b not in known:
-                    known[b], changed = known[a], True
-                elif b in known and a not in known:
-                    known[a], changed = known[b], True
-        fallback = {s for s in known.values()}
-        if rank_decl is not None:
-            fallback |= set(rank_decl.word)
-        if len(fallback) == 1:
-            default = next(iter(fallback))
-        elif not fallback:
-            default = DEFAULT_SORT
-        else:
-            default = None
-        for vid, name in pending:
-            sorts = []
-            for i in range(degree[vid]):
-                sort = known.get((vid, i), default)
-                if sort is None:
-                    raise ValueError(
-                        f"cannot infer sort of port {vid}.{i + 1}; pass an alphabet"
-                    )
-                sorts.append(sort)
-            vertices[vid] = SymbolLabel(name, Obj(tuple(sorts)))
+    if rankless:
+        sorts = {s for lab in vertices.values() for s in label_ports(lab)}
+        sorts |= set(rank_decl or ())
+        if len(sorts) > 1:
+            vid, name = next(iter(rankless.items()))
+            raise ImaError(
+                f"vertex {vid}: 'sym:{name}' has no rank in a file of sorts "
+                f"{''.join(sorted(s.name for s in sorts))}; write sym:{name}:<word>"
+            )
+        sort = next(iter(sorts), DEFAULT_SORT)
+        for vid, name in rankless.items():
+            vertices[vid] = SymbolLabel(name, Obj((sort,) * degree[vid]))
 
     g = SigmaGraph(vertices, list(raw_edges))
     if rank_decl is not None and g.rank_word() != rank_decl:

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ima import dflow, term as tm
-from ima.cli import load_machine, main
-from ima.graph import decompose
+from ima.cli import load_machine, main, read_term_file
+from ima.graph import decompose, isomorphic, parse_graph
 from sweeps import shuffled, tape_graph
 
 
@@ -107,6 +107,19 @@ def test_normalize_graph_format(term_file, capsys):
     assert code == 0
     assert out.startswith("graph BA")
     assert "sym:f" in out
+
+
+def test_two_sorted_normal_form_reads_back(term_file, capsys, tmp_path):
+    # with ranks left out of the file, the B ports of f and g read back as A
+    f = term_file("t.term", "sig f AB\nsig g BA\ntr(B, (atom f + atom g) . c(A,BBA))\n")
+    code, out, _ = run(capsys, "normalize", f)
+    assert code == 0
+    nf = tmp_path / "nf.graph"
+    nf.write_text(out)
+    code, _, _ = run(capsys, "export-dot", str(nf))
+    assert code == 0
+    t, alphabet = read_term_file(f)
+    assert isomorphic(parse_graph(nf.read_text()), tm.normalize(t, alphabet))
 
 
 def test_eq_trace_swap_sides(term_file, capsys):
@@ -505,6 +518,21 @@ def test_export_dot_names_a_bad_number(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize("text, message", [
+    ("vertex 0 in:1:A\nvertex 1 in:2:B\nvertex 2 sym:h\nedge 0.1 2.1\nedge 2.2 1.1\n",
+     "vertex 2: 'sym:h' has no rank in a file of sorts AB; write sym:h:<word>"),
+    ("vertex 0 in:1:xy\nvertex 1 in:2:xy\nedge 0.1 1.1\n",
+     "vertex 0: sort 'xy' of 'in:1:xy' is not one character"),
+    ("graph ()\nvertex 0 loop:xy\n", "vertex 0: sort 'xy' of 'loop:xy' is not one character"),
+])
+def test_export_dot_names_a_vertex_it_cannot_sort(tmp_path, capsys, text, message):
+    f = tmp_path / "sorts.graph"
+    f.write_text(text)
+    code, out, err = run(capsys, "export-dot", str(f))
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
     ("vertex 0 in:1:A\nvertex 1 in:2:A\nvertex 0 in:1:A\nedge 0.1 1.1\n",
      "line 3: vertex id 0 given twice"),
     ("vertex 0 in:1:A\nvertex 1 in:2:A\nedge 0.1 1.1\nedge 0.1 1.1\n",
@@ -641,7 +669,7 @@ SMALL_VALUES = st.one_of(
     st.sampled_from(["", "x", "*", "1", "A", "c2", "path.graph"]), st.just([]), st.just({}),
 )
 TOKENS = ["0", "1", "2", "7", "-1", "x", "A", "*", "->", ":", "()", "1.1", "in:1:1", "sym:c2",
-          "id(A)", "atom", "tr(A,", ")", "+", "."]
+          "sym:c2:11", "id(A)", "atom", "tr(A,", ")", "+", "."]
 NESTINGS = ["({})", "tr((), {})", "id() + ({})", "({}) . id(A)", "tr(A, id(A) + ({}))"]
 
 

@@ -144,13 +144,10 @@ def test_edges_are_the_partner_map():
             ports = [(v, i) for v in result.vertices for i in range(len(result.ports_of(v)))]
             rebuilt = frozenset(frozenset({p, result.partner(p)}) for p in ports)
             assert result.edges == rebuilt
-            symbols = {
-                lab.name: lab.rank
-                for lab in result.vertices.values()
-                if isinstance(lab, SymbolLabel)
-            }
-            back = parse_graph(format_graph(result), RankedAlphabet(symbols))
+            # the file carries every symbol's rank: no alphabet is needed
+            back = parse_graph(format_graph(result))
             assert back.edges == result.edges
+            assert isomorphic(back, result)
 
 
 def test_sum_of_graphs_with_sparse_ids():
@@ -616,7 +613,8 @@ def test_trace_early_on_a_tape_traces_one_edge_at_a_time():
 def test_format_parse_round_trip():
     g = sum_graphs(atom(ALPHABET, "f"), trace(identity_graph(A), A))
     text = format_graph(g)
-    back = parse_graph(text, ALPHABET)
+    assert "vertex 0 sym:f:BA" in text
+    back = parse_graph(text)
     assert isomorphic(back, g)
 
 
@@ -639,7 +637,6 @@ def test_parse_graph_keeps_parallel_edges():
 
 def test_format_round_trip_with_multiedges_and_loops():
     # self loop, parallel edges, a loop vertex and two sorts in one file
-    h = RankedAlphabet({"h": Obj.parse("AABB"), "e": Obj.parse("BB")})
     g = SigmaGraph(
         {
             0: SymbolLabel("h", Obj.parse("AABB")),
@@ -655,12 +652,17 @@ def test_format_round_trip_with_multiedges_and_loops():
             {(2, 0), (3, 0)},  # interface wire
         ],
     )
-    back = parse_graph(format_graph(g), h)
+    back = parse_graph(format_graph(g))
     assert isomorphic(back, g)
-    # inference without the alphabet still yields a well-formed graph of
-    # the declared rank (unconstrained ports default to the file's sort)
-    inferred = parse_graph(format_graph(g))
-    assert inferred.rank_word() == Obj.parse("BB")
+
+
+@pytest.mark.parametrize("label", ["in:1:xy", "loop:xy"])
+def test_parse_graph_reads_one_sort_per_character(label):
+    # the graph line and the rank words read one sort per character, so a
+    # longer sort name could not be written back
+    text = f"vertex 0 in:1:x\nvertex 1 in:2:x\nvertex 2 {label}\nedge 0.1 1.1\n"
+    with pytest.raises(ImaError, match=f"vertex 2: sort 'xy' of '{label}' is not one character"):
+        parse_graph(text)
 
 
 def test_dot_shapes():

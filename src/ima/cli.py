@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -55,12 +54,7 @@ def read_term_file(path: str) -> tuple[tm.Term, RankedAlphabet]:
             _, name, word = parts
             if name in sigs:
                 raise ImaError(f"line {number}: second signature for {name!r}")
-            if word != "()" and not re.fullmatch(r"\w+", word):
-                raise ImaError(
-                    f"line {number}: sort word {word!r} holds a character other than "
-                    "a letter, digit or '_'"
-                )
-            sigs[name] = Obj.parse(word)
+            sigs[name] = Obj.read(word, f"line {number}: sort word {word!r}")
         elif stripped.startswith("#"):
             continue
         else:

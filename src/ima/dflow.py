@@ -604,33 +604,48 @@ def walks(
 
 def walk_closure(m: GraphMachine) -> frozenset:
     """The full operational transition relation over external interfaces
-    and the anchor, in the shape of ``evaluate(m).base.delta``: one
-    breadth-first search from every start, on the configuration numbers
-    of ``m.step_index``, each configuration's successors read once."""
+    and the anchor, in the shape of ``evaluate(m).base.delta``.
+
+    Every start is searched breadth-first by one loop over the
+    configuration numbers of ``m.step_index``, with no function call per
+    expansion: each configuration's successors are read once into a
+    dict, a code below ``ix.terminal`` ends a walk, and each terminal's
+    ``(name, position)`` end is built once and shared by every start
+    that reaches it."""
     ix = m.step_index
-    k, size = len(m.data), ix.size
+    k, size, terminal = len(m.data), ix.size, ix.terminal
     names = [ix.name(s) for s in range(size)]
     # the end of a transition at each terminal (locus * |D| + datum)
     where = [ANCHOR] * k + [
         position_of(serial, d, k) for serial in m.graph.interface_vertices() for d in range(k)
     ]
     starts = [0] + list(range(k, len(where)))
-    cache: dict[int, list[int]] = {}
-
-    def successors(code: int) -> list[int]:
-        out = cache.get(code)
-        if out is None:
-            out = cache[code] = ix.successors(code)
-        return out
-
-    terminal = ix.terminal.__gt__  # code < ix.terminal
+    succ: dict[int, list[int]] = {}
+    ends: dict[int, tuple] = {}
     out = set()
     for s in range(size):
         for ld in starts:
             begin = names[s], where[ld]
-            for code in _reachable_exits(ld * size + s, successors, terminal):
-                ld2, s2 = divmod(code, size)
-                out.add((begin, (names[s2], where[ld2])))
+            frontier, seen, exits = [ld * size + s], set(), set()
+            while frontier:
+                nxt = []
+                for code in frontier:
+                    following = succ.get(code)
+                    if following is None:
+                        following = succ[code] = ix.successors(code)
+                    for c2 in following:
+                        if c2 < terminal:
+                            exits.add(c2)
+                        elif c2 not in seen:
+                            seen.add(c2)
+                            nxt.append(c2)
+                frontier = nxt
+            for code in exits:
+                end = ends.get(code)
+                if end is None:
+                    ld2, s2 = divmod(code, size)
+                    end = ends[code] = names[s2], where[ld2]
+                out.add((begin, end))
     return frozenset(out)
 
 

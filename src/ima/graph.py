@@ -474,7 +474,9 @@ def parse_graph(text: str) -> SigmaGraph:
 
     Words read one sort per character: the ``graph`` line, the rank of a
     symbol vertex ``sym:<name>:<word>`` and the sort of an ``in:`` or
-    ``loop:`` vertex, which must be one character.  A rank-less
+    ``loop:`` vertex, which must be one character.  A sort is a letter,
+    digit or ``_``, and ``()`` is the unit word; any other character
+    raises ``ImaError`` naming the line or the vertex.  A rank-less
     ``sym:<name>`` has as many ports as the highest port its edges name,
     all of the one sort of the file's ``graph`` line, interfaces and
     ranked symbols (``DEFAULT_SORT`` when there is none); in a file of two
@@ -493,7 +495,7 @@ def parse_graph(text: str) -> SigmaGraph:
         if parts[0] == "graph" and len(parts) == 2:
             if rank_decl is not None:
                 raise ImaError(f"line {lineno}: second 'graph' line")
-            rank_decl = Obj.parse(parts[1])
+            rank_decl = Obj.read(parts[1], f"line {lineno}: sort word {parts[1]!r}")
         elif parts[0] == "vertex" and len(parts) == 3:
             if not _is_int(parts[1]):
                 raise ImaError(f"line {lineno}: vertex id {parts[1]!r} is not an integer")
@@ -524,9 +526,9 @@ def parse_graph(text: str) -> SigmaGraph:
         degree[b] = max(degree[b], j + 1)
 
     def one_sort(vid: int, name: str, text_label: str) -> Sort:
-        if len(name) > 1:
+        if len(name) != 1:
             raise ImaError(f"vertex {vid}: sort {name!r} of {text_label!r} is not one character")
-        return Sort(name)
+        return Obj.read(name, f"vertex {vid}: sort {name!r} of {text_label!r}").word[0]
 
     vertices: dict[int, Label] = {}
     rankless: dict[int, str] = {}
@@ -541,7 +543,9 @@ def parse_graph(text: str) -> SigmaGraph:
             vertices[vid] = LoopLabel(one_sort(vid, rest, text_label))
         elif kind == "sym" and ":" in rest:
             name, _, word = rest.rpartition(":")
-            vertices[vid] = SymbolLabel(name, Obj.parse(word))
+            vertices[vid] = SymbolLabel(
+                name, Obj.read(word, f"vertex {vid}: rank {word!r} of {text_label!r}")
+            )
         elif kind == "sym":
             rankless[vid] = rest
         else:

@@ -12,10 +12,15 @@ checks and for building the two readings of a grouped symbol.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import NotComposable
+from .errors import ImaError, NotComposable
+
+# the sorts a file may name: one per letter, digit or "_", so that no word
+# but the unit prints as "()"
+_SORT_CHARS = re.compile(r"\w*")
 
 
 @dataclass(frozen=True, order=True)
@@ -48,6 +53,15 @@ class Obj:
         if text in ("()", ""):
             return Obj()
         return Obj(tuple(Sort(c) for c in text))
+
+    @staticmethod
+    def read(text: str, what: str) -> "Obj":
+        """``Obj.parse(text)`` of a word read from a file; raise ``ImaError``
+        starting with ``what`` when ``text`` is not ``()`` and holds a
+        character other than a letter, digit or ``_``."""
+        if text != "()" and not _SORT_CHARS.fullmatch(text):
+            raise ImaError(f"{what} holds a character other than a letter, digit or '_'")
+        return Obj.parse(text)
 
     def __len__(self) -> int:
         return len(self.word)
@@ -122,7 +136,7 @@ class PermSymbol:
         for j, i in enumerate(self.pi):
             cod_off[j] = acc
             acc += len(self.blocks[i])
-        out = [0] * len(self.dom)
+        out = [0] * acc
         for i, block in enumerate(self.blocks):
             base = cod_off[slot_of[i]]
             for k in range(len(block)):

@@ -523,6 +523,8 @@ def test_export_dot_names_a_bad_number(tmp_path, capsys, text, message):
     ("vertex 0 in:1:xy\nvertex 1 in:2:xy\nedge 0.1 1.1\n",
      "vertex 0: sort 'xy' of 'in:1:xy' is not one character"),
     ("graph ()\nvertex 0 loop:xy\n", "vertex 0: sort 'xy' of 'loop:xy' is not one character"),
+    ("vertex 0 in:1:(\nvertex 1 in:2:)\nvertex 2 sym:h:)(\nedge 0.1 2.2\nedge 1.1 2.1\n",
+     "vertex 0: sort '(' of 'in:1:(' holds a character other than a letter, digit or '_'"),
 ])
 def test_export_dot_names_a_vertex_it_cannot_sort(tmp_path, capsys, text, message):
     f = tmp_path / "sorts.graph"

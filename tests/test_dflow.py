@@ -419,7 +419,12 @@ def config_walk_closure(m: GraphMachine) -> frozenset:
 def test_walk_closure_equals_config_oracle():
     seen = set()
     machines = differential_machines()
-    for m in machines:
+    # the largest shape of the benchmark's walks pool: five cubic switches,
+    # atomic and alternating, 3**5 states each
+    g = switch_graph(random.Random(20261024), [3] * 5)
+    cubic = [switch_machine(g, False), switch_machine(g, True)]
+    assert [m.step_index.size for m in cubic] == [243, 243]
+    for m in machines + cubic:
         seen |= graph_features(m.graph)
         assert walk_closure(m) == config_walk_closure(m)
     assert seen >= {"no internal vertex", "loop vertex", "wire", "self-loop", "parallel edges"}

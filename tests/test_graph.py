@@ -665,6 +665,29 @@ def test_parse_graph_reads_one_sort_per_character(label):
         parse_graph(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    # sorts ( and ) would write the word ")(" as "()", which reads back as the unit
+    ("vertex 0 in:1:(\nvertex 1 in:2:)\nvertex 2 sym:h:)(\nedge 0.1 2.2\nedge 1.1 2.1\n",
+     "vertex 0: sort '(' of 'in:1:('"),
+    ("graph A(\nvertex 0 in:1:A\nvertex 1 in:2:A\nedge 0.1 1.1\n", "line 1: sort word 'A('"),
+    ("vertex 0 in:1:A\nvertex 1 in:2:A\nvertex 2 sym:h:A*\nedge 0.1 2.1\nedge 1.1 2.2\n",
+     "vertex 2: rank 'A*' of 'sym:h:A*'"),
+    ("graph ()\nvertex 0 loop:-\n", "vertex 0: sort '-' of 'loop:-'"),
+])
+def test_parse_graph_names_a_sort_that_is_not_a_word_character(text, message):
+    message += " holds a character other than a letter, digit or '_'"
+    with pytest.raises(ImaError, match=re.escape(message)):
+        parse_graph(text)
+
+
+def test_parse_graph_reads_the_unit_and_word_characters():
+    text = "graph ()\nvertex 0 sym:c:()\nvertex 1 sym:h:_9_9\nedge 1.1 1.3\nedge 1.2 1.4\n"
+    g = parse_graph(text)
+    assert g.rank_word() == UNIT
+    assert g.vertices[0] == SymbolLabel("c", UNIT)
+    assert isomorphic(parse_graph(format_graph(g)), g)
+
+
 def test_dot_shapes():
     g = sum_graphs(atom(ALPHABET, "f"), trace(identity_graph(A), A))
     dot = to_dot(g)

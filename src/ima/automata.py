@@ -195,12 +195,9 @@ class TuringAutomaton:
 
     @classmethod
     def _assemble(cls, iface: Obj, names: tuple, table: Table) -> "TuringAutomaton":
-        """An automaton from checked states and non-empty relations; only
-        the keys and the relation sizes are checked."""
-        n, size = len(iface), len(names)
-        for (x, y), rel in table.items():
-            if rel.size != size or not (_in_range(x, n) and _in_range(y, n)):
-                raise ValueError(f"table entry {(x, y)!r} does not fit {iface} over {size} states")
+        """An automaton from checked states and non-empty relations over
+        them, keyed by positions of ``iface``; nothing is checked, as the
+        operations build only such tables."""
         t = object.__new__(cls)
         t.iface, t.names, t.table = iface, names, table
         return t

@@ -252,11 +252,10 @@ def cmd_soliton(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    if args.mutate_alternation and args.algebra != "automata":
+        raise ImaError(f"--mutate-alternation applies to 'automata' only, not {args.algebra!r}")
     factory = laws.ALGEBRAS[args.algebra]
-    if args.algebra == "automata":
-        aut = factory(broken_alternation=args.mutate_alternation)
-    else:
-        aut = factory()
+    aut = factory(broken_alternation=True) if args.mutate_alternation else factory()
     report = laws.run_families(
         aut,
         laws.ALL_FAMILIES if args.derived else laws.AXIOM_FAMILIES,

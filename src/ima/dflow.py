@@ -36,7 +36,7 @@ from .automata import (
     sum_automata,
     trace_automaton,
 )
-from .errors import IllFormedConfig, InvalidArity, InvalidSpec, MissingSymbol, RankMismatch
+from .errors import IllFormedConfig, ImaError, InvalidArity, InvalidSpec, MissingSymbol
 from .graph import DEFAULT_SORT, InterfaceLabel, SigmaGraph, SymbolLabel
 from .perm import Obj, PermSymbol, Sort
 
@@ -58,7 +58,8 @@ def decode_position(pos: int, k: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class DFlowAutomaton:
-    """A Turing automaton over interface D x A."""
+    """A Turing automaton over interface D x A: ``base.iface`` is
+    ``expand_word(sort_word, len(data))``."""
 
     data: tuple
     sort_word: Obj
@@ -69,7 +70,7 @@ class DFlowAutomaton:
             raise ValueError("datum set must be nonempty")
         if len(set(self.data)) != len(self.data):
             raise ValueError(f"data {self.data!r} repeat a value")
-        if len(self.base.iface) != len(self.data) * len(self.sort_word):
+        if self.base.iface != expand_word(self.sort_word, len(self.data)):
             raise ValueError(
                 f"base interface {self.base.iface} does not match "
                 f"{len(self.data)} data over {self.sort_word}"
@@ -102,16 +103,14 @@ class DFlowAlgebra:
     def sum(self, x: DFlowAutomaton, y: DFlowAutomaton) -> DFlowAutomaton:
         return self._wrap(x.sort_word + y.sort_word, sum_automata(x.base, y.base))
 
+    # ``trace_automaton`` and ``reindex_automaton`` raise ``RankMismatch``
+    # on the position words, which match exactly when the sort words do
+
     def trace(self, w: Obj, x: DFlowAutomaton) -> DFlowAutomaton:
-        n = len(w)
-        if x.sort_word[: 2 * n] != w + w:
-            raise RankMismatch(f"trace over {w} of sort word {x.sort_word}")
         base = trace_automaton(x.base, expand_word(w, len(self.data)))
-        return self._wrap(x.sort_word[2 * n :], base)
+        return self._wrap(x.sort_word[2 * len(w) :], base)
 
     def reindex(self, x: DFlowAutomaton, rho: PermSymbol) -> DFlowAutomaton:
-        if rho.dom != x.sort_word:
-            raise RankMismatch(f"reindex {x.sort_word} by symbol on {rho.dom}")
         base = reindex_automaton(x.base, lift_symbol(rho, len(self.data)))
         return self._wrap(rho.cod, base)
 
@@ -187,12 +186,11 @@ def format_automaton(a: TuringAutomaton | DFlowAutomaton) -> str:
     ``data``, has its port word as interface and writes positions as
     ``[datum, port]``.  The anchor is ``"*"``.  Tuples (product states
     from sums) are written as lists, so :func:`parse_automaton` reads the
-    text back to an equal automaton."""
+    text back to an equal automaton.  A state or datum nested too deeply
+    to write raises ``ImaError``."""
     flow = isinstance(a, DFlowAutomaton)
     base = a.base if flow else a
     doc = {"interface": str(a.sort_word if flow else a.iface)}
-    if flow:
-        doc["data"] = _to_json(a.data)
 
     def pos(x):
         if x == ANCHOR or not flow:
@@ -200,25 +198,33 @@ def format_automaton(a: TuringAutomaton | DFlowAutomaton) -> str:
         port, d = decode_position(x, len(a.data))
         return [_to_json(a.data[d]), port]
 
-    doc["states"] = sorted((_to_json(q) for q in base.states), key=repr)
-    doc["transitions"] = sorted(
-        (
-            [_to_json(q), pos(x), _to_json(r), pos(y)]
-            for (q, x), (r, y) in base.delta
-        ),
-        key=repr,
-    )
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        if flow:
+            doc["data"] = _to_json(a.data)
+        doc["states"] = sorted((_to_json(q) for q in base.states), key=repr)
+        doc["transitions"] = sorted(
+            (
+                [_to_json(q), pos(x), _to_json(r), pos(y)]
+                for (q, x), (r, y) in base.delta
+            ),
+            key=repr,
+        )
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    except RecursionError:
+        raise ImaError("cannot write automaton: a state or datum is nested too deeply") from None
 
 
 def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
     """Read the JSON written by :func:`format_automaton`: a data-flow
     automaton when the document has ``data``, a plain one otherwise.
-    A document of the wrong shape, with a key missing, or with a datum or
-    port outside its ``data`` or port word raises ``ValueError``."""
-    doc = json.loads(text)
+    A document of the wrong shape, nested too deeply, with a key missing,
+    or with a datum or port outside its ``data`` or port word raises
+    ``ValueError``; an interface word with a character that is no sort
+    raises ``ImaError`` naming it."""
     try:
-        word = Obj.parse(doc["interface"])
+        doc = json.loads(text)
+        iface = doc["interface"]
+        word = Obj.read(iface, f"malformed automaton file: interface {iface!r}")
         states = frozenset(_from_json(q) for q in doc["states"])
         flow = "data" in doc
         data = tuple(_from_json(d) for d in doc["data"]) if flow else ()
@@ -256,6 +262,8 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
         raise ValueError(f"malformed automaton file: {err}") from None
     except KeyError as err:
         raise ValueError(f"malformed automaton file: missing key {err}") from None
+    except RecursionError:
+        raise ValueError("malformed automaton file: nested too deeply") from None
 
 
 # -- graph machines -----------------------------------------------------------

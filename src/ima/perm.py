@@ -12,26 +12,23 @@ checks and for building the two readings of a grouped symbol.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ImaError, NotComposable
 
-# the sorts a file may name: one per letter, digit or "_", so that no word
-# but the unit prints as "()"
-_SORT_CHARS = re.compile(r"\w*")
-
 
 @dataclass(frozen=True, order=True)
 class Sort:
-    """An abstract sort, identified by its (nonempty) name."""
+    """An abstract sort, named by one letter, digit or ``_``, so that a
+    word prints as its sorts' names one after another and no word but the
+    unit prints as ``()``."""
 
     name: str
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("sort name must be nonempty")
+        if len(self.name) != 1 or not (self.name.isalnum() or self.name == "_"):
+            raise ValueError(f"sort name {self.name!r} is not one letter, digit or '_'")
 
     def __repr__(self):
         return f"Sort({self.name!r})"
@@ -56,12 +53,13 @@ class Obj:
 
     @staticmethod
     def read(text: str, what: str) -> "Obj":
-        """``Obj.parse(text)`` of a word read from a file; raise ``ImaError``
-        starting with ``what`` when ``text`` is not ``()`` and holds a
-        character other than a letter, digit or ``_``."""
-        if text != "()" and not _SORT_CHARS.fullmatch(text):
-            raise ImaError(f"{what} holds a character other than a letter, digit or '_'")
-        return Obj.parse(text)
+        """``Obj.parse(text)`` of a word read from a file, with the
+        ``ValueError`` of a character that is no sort raised as an
+        ``ImaError`` starting with ``what``."""
+        try:
+            return Obj.parse(text)
+        except ValueError:
+            raise ImaError(f"{what} holds a character other than a letter, digit or '_'") from None
 
     def __len__(self) -> int:
         return len(self.word)

@@ -107,21 +107,15 @@ def positive_edges(p: PreSolitonAutomaton, q: SolitonState) -> set[frozenset]:
 
 def is_pim(p: PreSolitonAutomaton, q: SolitonState) -> bool:
     """Every internal edge consistent, and the positive edges a matching
-    covering all internal vertices."""
+    covering all internal vertices.  That holds exactly when each internal
+    vertex's selected port is joined to an interface or to another
+    vertex's selected port, which one pass over the selected ports reads."""
     g = p.graph
-    for e in g.edges:
-        (a, _), (b, _) = sorted(e)
-        if _is_internal(g, a) and _is_internal(g, b):
-            if not edge_consistent(p, q, e):
-                return False
-    covered: set[int] = set()
-    for e in positive_edges(p, q):
-        ends = [v for v, _ in e if _is_internal(g, v)]
-        for v in ends:
-            if v in covered:
-                return False  # two positive edges share a vertex
-        covered.update(ends)
-    return covered == set(g.internal_vertices())
+    for v in g.internal_vertices():
+        w, port = g.partner((v, q[v]))
+        if w == v or (_is_internal(g, w) and q[w] != port):
+            return False
+    return True
 
 
 def states_of(p: PreSolitonAutomaton) -> Iterator[dict[int, int]]:

@@ -311,6 +311,36 @@ def test_eval_plain_automaton_file_names_a_bad_position(tmp_path, capsys):
     assert err == 'error: malformed automaton file: position "x" is not "*" or a position number\n'
 
 
+def test_eval_automaton_file_names_an_interface_that_is_no_sort_word(tmp_path, capsys):
+    doc = {"interface": "a-b", "states": [0], "transitions": []}
+    f = tmp_path / "bad.auto.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--automaton", str(f))
+    assert code == 2 and not out
+    assert err == ("error: malformed automaton file: interface 'a-b' holds a character "
+                   "other than a letter, digit or '_'\n")
+
+
+def test_eval_machine_whose_state_nests_too_deeply_to_write(tmp_path, capsys):
+    # 1,100 loop vertices sum to one state nested 1,100 pairs deep
+    lines = ["graph ()"] + [f"vertex {i} loop:1" for i in range(1100)]
+    (tmp_path / "loops.graph").write_text("\n".join(lines) + "\n")
+    machine = tmp_path / "loops.machine.json"
+    machine.write_text(json.dumps({"graph": "loops.graph", "data": [0]}))
+    code, out, err = run(capsys, "eval", "--machine", str(machine))
+    assert code == 2 and not out
+    assert err == "error: cannot write automaton: a state or datum is nested too deeply\n"
+
+
+def test_eval_automaton_file_whose_state_nests_too_deeply(tmp_path, capsys):
+    f = tmp_path / "deep.auto.json"
+    f.write_text('{"interface": "()", "states": [' + "[" * 1100 + "0" + "]" * 1100
+                 + '], "transitions": []}')
+    code, out, err = run(capsys, "eval", "--automaton", str(f))
+    assert code == 2 and not out
+    assert err == "error: malformed automaton file: nested too deeply\n"
+
+
 def test_eval_automaton_file_with_repeated_data(tmp_path, capsys):
     doc = {"interface": "1", "data": [0, 0], "states": [0], "transitions": []}
     f = tmp_path / "repeated.auto.json"
@@ -578,6 +608,13 @@ def test_axioms_mutation_detected(capsys):
     assert code == 1
     assert "I5" in out
     assert "counterexample" in out
+
+
+@pytest.mark.parametrize("algebra", ["graphs", "dflow"])
+def test_axioms_mutation_applies_to_automata_only(capsys, algebra):
+    code, out, err = run(capsys, "--cases", "3", "axioms", algebra, "--mutate-alternation")
+    assert code == 2 and not out
+    assert err == f"error: --mutate-alternation applies to 'automata' only, not {algebra!r}\n"
 
 
 def test_axioms_json_format(capsys):

@@ -31,7 +31,7 @@ from ima.dflow import (
     walk_closure,
     walks,
 )
-from ima.errors import IllFormedConfig, InvalidArity, InvalidSpec
+from ima.errors import IllFormedConfig, InvalidArity, InvalidSpec, RankMismatch
 from ima.graph import (
     DEFAULT_SORT,
     InterfaceLabel,
@@ -39,7 +39,7 @@ from ima.graph import (
     SigmaGraph,
     SymbolLabel,
 )
-from ima.perm import Obj
+from ima.perm import Obj, Sort, identity as perm_identity
 from sweeps import (
     connected_port_graphs,
     machine_states,
@@ -455,6 +455,24 @@ def test_repeated_data_are_rejected():
     base = laws.random_automaton(random.Random(20261020), expand_word(word, 2), density=5)
     with pytest.raises(ValueError, match="repeat"):
         DFlowAutomaton((0, 0), word, base)
+
+
+def test_base_interface_must_be_the_expanded_sort_word():
+    # a base of the right length but of other sorts used to pass here and
+    # fail only at the next reindex or trace
+    base = TuringAutomaton(Obj.parse("BBAA"), (0,), set())
+    with pytest.raises(ValueError, match="does not match 2 data over AB"):
+        DFlowAutomaton((0, 1), Obj.parse("AB"), base)
+    assert DFlowAutomaton((0, 1), Obj.parse("BA"), base).arity() == 2
+
+
+def test_dflow_trace_and_reindex_reject_wrong_ranks():
+    alg = DFlowAlgebra((0, 1))
+    x = alg.identity(Obj.parse("AB"))
+    with pytest.raises(RankMismatch):
+        alg.trace(Obj.parse("B"), x)
+    with pytest.raises(RankMismatch):
+        alg.reindex(x, perm_identity(Obj.parse("BAAB")))
 
 
 def test_step_index_is_built_once():
@@ -873,6 +891,21 @@ def test_file_round_trip_random_automata():
         x, y = laws.random_dflow(rng, w), laws.random_dflow(rng, v)
         for auto in (a, x, sum_automata(a, b), dflow_alg.sum(x, y)):
             assert round_trips(auto), format_automaton(auto)
+
+
+def test_file_round_trip_digit_and_underscore_sorts():
+    word = Obj.parse("1_9")
+    plain = TuringAutomaton(word, (0,), {((0, 1), (0, 3)), ((0, ANCHOR), (0, 2))})
+    base = laws.random_automaton(random.Random(3), expand_word(word, 2))
+    flow = DFlowAutomaton((0, 1), word, base)
+    for a in (plain, flow):
+        assert round_trips(a), format_automaton(a)
+
+
+def test_automaton_of_sorts_that_print_as_the_unit_cannot_be_built():
+    # ``(`` then ``)`` would print as ``()`` and read back as the unit
+    with pytest.raises(ValueError, match="is not one letter"):
+        TuringAutomaton(Obj((Sort("("), Sort(")"))), (0,), set())
 
 
 def test_file_format_shapes():

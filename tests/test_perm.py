@@ -30,6 +30,12 @@ def one_based(rho):
 
 # -- construction and flattening --------------------------------------------
 
+@pytest.mark.parametrize("name", ["(", ")", "-", "xy", ""])
+def test_sort_is_one_letter_digit_or_underscore(name):
+    with pytest.raises(ValueError, match="is not one letter, digit or '_'"):
+        Sort(name)
+
+
 def test_identity_two_letters():
     r = identity(AB)
     assert r.dom == AB and r.cod == AB

@@ -252,3 +252,44 @@ def test_parse_plain_state_missing_vertex():
     g, ids = parse_plain_graph(PATH)
     with pytest.raises(ValueError):
         parse_plain_state("u 1\n", g, ids)
+
+
+# -- is_pim against its definition ------------------------------------------------
+
+
+def defined_is_pim(p, q):
+    """``is_pim`` as the definition reads: every internal edge consistent,
+    and the positive edges a matching covering all internal vertices."""
+    g = p.graph
+
+    def internal(v):
+        return isinstance(g.vertices[v], SymbolLabel)
+
+    for e in g.edges:
+        (a, _), (b, _) = sorted(e)
+        if internal(a) and internal(b):
+            if not edge_consistent(p, q, e):
+                return False
+    covered: set[int] = set()
+    for e in positive_edges(p, q):
+        ends = [v for v, _ in e if internal(v)]
+        for v in ends:
+            if v in covered:
+                return False  # two positive edges share a vertex
+        covered.update(ends)
+    return covered == set(g.internal_vertices())
+
+
+def test_is_pim_equals_its_definition_on_a_sweep():
+    from sweeps import connected_port_graphs
+
+    from ima.soliton import states_of
+
+    verdicts = set()
+    for g in connected_port_graphs(max_internal=3, max_iface=2, max_degree=4, dedupe=False):
+        p = make_presoliton(g)
+        for q in states_of(p):
+            want = defined_is_pim(p, q)
+            assert is_pim(p, q) == want, (g.edges, q)
+            verdicts.add(want)
+    assert verdicts == {False, True}

@@ -23,7 +23,7 @@ sets are views decoded from the table on first read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable
 
 from .errors import InvalidArity, RankMismatch
@@ -403,8 +403,9 @@ class AutomataAlgebra:
     def identity(self, w: Obj):
         return identity_automaton(w)
 
-    def sum(self, x, y):
-        return sum_automata(x, y)
+    def sum(self, xs):
+        # left fold: product states nest as ((q1, q2), q3), ...
+        return reduce(sum_automata, xs)
 
     def trace(self, w, x):
         return trace_automaton(x, w)

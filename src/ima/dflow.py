@@ -38,7 +38,7 @@ from .automata import (
 )
 from .errors import IllFormedConfig, ImaError, InvalidArity, InvalidSpec, MissingSymbol
 from .graph import DEFAULT_SORT, InterfaceLabel, SigmaGraph, SymbolLabel
-from .perm import Obj, PermSymbol, Sort
+from .perm import Obj, PermSymbol, Sort, concat
 
 
 def expand_word(w: Obj, k: int) -> Obj:
@@ -100,8 +100,9 @@ class DFlowAlgebra:
     def identity(self, w: Obj) -> DFlowAutomaton:
         return self._wrap(w + w, identity_automaton(expand_word(w, len(self.data))))
 
-    def sum(self, x: DFlowAutomaton, y: DFlowAutomaton) -> DFlowAutomaton:
-        return self._wrap(x.sort_word + y.sort_word, sum_automata(x.base, y.base))
+    def sum(self, xs: Sequence[DFlowAutomaton]) -> DFlowAutomaton:
+        base = reduce(sum_automata, [x.base for x in xs])
+        return self._wrap(concat([x.sort_word for x in xs]), base)
 
     # ``trace_automaton`` and ``reindex_automaton`` raise ``RankMismatch``
     # on the position words, which match exactly when the sort words do
@@ -219,11 +220,16 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
     automaton when the document has ``data``, a plain one otherwise.
     A document of the wrong shape, nested too deeply, with a key missing,
     or with a datum or port outside its ``data`` or port word raises
-    ``ValueError``; an interface word with a character that is no sort
-    raises ``ImaError`` naming it."""
+    ``ValueError``, as does an interface that is not a string; an
+    interface word with a character that is no sort raises ``ImaError``
+    naming it."""
     try:
         doc = json.loads(text)
         iface = doc["interface"]
+        if not isinstance(iface, str):
+            raise ValueError(
+                f"malformed automaton file: interface {json.dumps(iface)} is not a string"
+            )
         word = Obj.read(iface, f"malformed automaton file: interface {iface!r}")
         states = frozenset(_from_json(q) for q in doc["states"])
         flow = "data" in doc

@@ -189,23 +189,25 @@ def atom(alphabet: RankedAlphabet, name: str) -> SigmaGraph:
     fresh interface vertices numbered in rank order."""
     rank = alphabet.rank(name)
     vertices: dict[int, Label] = {0: SymbolLabel(name, rank)}
-    edges = []
+    partner: dict[Port, Port] = {}
     for i, sort in enumerate(rank):
         vertices[1 + i] = InterfaceLabel(1 + i, sort)
-        edges.append({(0, i), (1 + i, 0)})
-    return SigmaGraph(vertices, edges)
+        partner[(0, i)] = (1 + i, 0)
+        partner[(1 + i, 0)] = (0, i)
+    return _assemble(vertices, partner, tuple(range(1, len(rank) + 1)), rank)
 
 
 def identity_graph(w: Obj) -> SigmaGraph:
     """2|w| interfaces wired straight across; empty when w is the unit."""
     n = len(w)
     vertices: dict[int, Label] = {}
-    edges = []
+    partner: dict[Port, Port] = {}
     for i, sort in enumerate(w):
         vertices[i] = InterfaceLabel(1 + i, sort)
         vertices[n + i] = InterfaceLabel(1 + n + i, sort)
-        edges.append({(i, 0), (n + i, 0)})
-    return SigmaGraph(vertices, edges)
+        partner[(i, 0)] = (n + i, 0)
+        partner[(n + i, 0)] = (i, 0)
+    return _assemble(vertices, partner, tuple(range(2 * n)), w + w)
 
 
 # -- algebra operations ----------------------------------------------------
@@ -223,22 +225,26 @@ def reindex(g: SigmaGraph, rho: PermSymbol) -> SigmaGraph:
     return _assemble(vertices, g._partner, tuple(ifaces), rho.cod)
 
 
-def sum_graphs(g1: SigmaGraph, g2: SigmaGraph) -> SigmaGraph:
-    """Disjoint union; the second graph's vertex ids and serials are
-    shifted past the first's."""
-    shift = len(g1.rank_word())
-    offset = (max(g1.vertices) + 1) if g1.vertices else 0
-    vertices = dict(g1.vertices)
-    for vid, lab in g2.vertices.items():
+def _append(vertices, partner, ifaces: list, top: int, g: SigmaGraph) -> int:
+    """Add ``g`` in place to the parts of a graph being built, whose vertex
+    ids are all below ``top``: ``g``'s vertex ids move up by ``top`` and
+    its serials past ``len(ifaces)``.  Returns the new bound on the ids."""
+    shift = len(ifaces)
+    for vid, lab in g.vertices.items():
         if isinstance(lab, InterfaceLabel):
             lab = InterfaceLabel(lab.serial + shift, lab.sort)
-        vertices[offset + vid] = lab
-    partner = dict(g1._partner)
-    partner.update(
-        ((offset + a, i), (offset + b, j)) for (a, i), (b, j) in g2._partner.items()
-    )
-    ifaces = g1._ifaces + tuple(offset + vid for vid in g2._ifaces)
-    return _assemble(vertices, partner, ifaces, g1.rank_word() + g2.rank_word())
+        vertices[top + vid] = lab
+    partner.update(((top + a, i), (top + b, j)) for (a, i), (b, j) in g._partner.items())
+    ifaces += [top + vid for vid in g._ifaces]
+    return top + max(g.vertices) + 1 if g.vertices else top
+
+
+def sum_graphs(g1: SigmaGraph, g2: SigmaGraph) -> SigmaGraph:
+    """Disjoint union; the second graph's vertex ids and serials are
+    shifted past the first's.  The result shares no map with an operand."""
+    vertices, partner, ifaces = dict(g1.vertices), dict(g1._partner), list(g1._ifaces)
+    _append(vertices, partner, ifaces, max(g1.vertices, default=-1) + 1, g2)
+    return _assemble(vertices, partner, tuple(ifaces), g1.rank_word() + g2.rank_word())
 
 
 def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
@@ -596,8 +602,21 @@ class GraphAlgebra:
     def identity(self, w: Obj) -> SigmaGraph:
         return identity_graph(w)
 
-    def sum(self, x, y):
-        return sum_graphs(x, y)
+    def sum(self, xs):
+        """``functools.reduce(sum_graphs, xs)`` of the two or more summands
+        of a ``Sum`` spine, exactly (vertex ids, map orders, interfaces and
+        rank), in one pass: :func:`sum_graphs` of the first two, then each
+        later summand appended to that new graph in place, so no
+        intermediate graph is built."""
+        g = sum_graphs(xs[0], xs[1])
+        if len(xs) > 2:
+            ifaces = list(g._ifaces)
+            top = max(g.vertices, default=-1) + 1
+            for h in xs[2:]:
+                top = _append(g.vertices, g._partner, ifaces, top, h)
+            g._ifaces = tuple(ifaces)
+            g._rank = perm.concat([h.rank_word() for h in xs])
+        return g
 
     def trace(self, w, x):
         return trace(x, w)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
 from typing import Mapping
 
@@ -295,10 +294,11 @@ class Interpretation:
 
 def evaluate(t: Term, interp: Interpretation):
     """Fold ``t`` through the target algebra; the unique homomorphic
-    extension of the symbol assignment.  ``comp`` and ``ten`` are the
-    algebra's derived composition and tensor.  A term naming an atom the
-    interpretation lacks raises ``MissingSymbol``, any other ill-ranked
-    term ``RankError``."""
+    extension of the symbol assignment.  Each ``Sum`` spine is one
+    ``alg.sum`` call on all its summands, left to right.  ``comp`` and
+    ``ten`` are the algebra's derived composition and tensor.  A term
+    naming an atom the interpretation lacks raises ``MissingSymbol``, any
+    other ill-ranked term ``RankError``."""
     try:
         rank(t, interp.ranks())
     except RankError:
@@ -316,7 +316,7 @@ def evaluate(t: Term, interp: Interpretation):
         if isinstance(t, Id):
             return alg.identity(t.w)
         if isinstance(t, Sum):
-            return reduce(alg.sum, vs)
+            return alg.sum(vs)
         if isinstance(t, Trace):
             return alg.trace(t.w, vs[0])
         if isinstance(t, Index):
@@ -356,14 +356,16 @@ def normalize(t: Term, alphabet):
 
 def term_equal(t1: Term, t2: Term, alphabet) -> bool:
     """Terms denote the same morphism in every algebra exactly when their
-    graph normal forms are isomorphic."""
+    graph normal forms are isomorphic.  Both terms are ranked once, as
+    :func:`evaluate` folds them through one graph interpretation; normal
+    forms of different rank words raise ``RankError``."""
     from . import graph as gr
 
-    ranks = {name: alphabet.rank(name) for name in alphabet.symbols}
-    r1, r2 = rank(t1, ranks), rank(t2, ranks)
-    if r1 != r2:
-        raise RankError(f"ranks differ: {r1} vs {r2}", t1)
-    return gr.isomorphic(normalize(t1, alphabet), normalize(t2, alphabet))
+    interp = graph_interpretation(alphabet)
+    g1, g2 = evaluate(t1, interp), evaluate(t2, interp)
+    if g1.rank_word() != g2.rank_word():
+        raise RankError(f"ranks differ: {g1.rank_word()} vs {g2.rank_word()}", t1)
+    return gr.isomorphic(g1, g2)
 
 
 # -- parsing -------------------------------------------------------------------

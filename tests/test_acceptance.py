@@ -111,7 +111,7 @@ def test_criterion_3_freeness():
                 F, G, H = tm.Atom("f"), tm.Atom("g"), tm.Atom("h")
 
                 lhs = tm.evaluate(tm.Sum(F, G), interp)
-                rhs = aut.algebra.sum(f, g2)
+                rhs = aut.algebra.sum((f, g2))
                 assert aut.algebra.equivalent(lhs, rhs)
 
                 lhs = tm.evaluate(tm.Trace(a, H), interp)

@@ -321,6 +321,15 @@ def test_eval_automaton_file_names_an_interface_that_is_no_sort_word(tmp_path, c
                    "other than a letter, digit or '_'\n")
 
 
+def test_eval_automaton_file_whose_interface_is_not_a_string(tmp_path, capsys):
+    doc = {"interface": ["a", "b"], "states": [0], "transitions": []}
+    f = tmp_path / "bad.auto.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--automaton", str(f))
+    assert code == 2 and not out
+    assert err == 'error: malformed automaton file: interface ["a", "b"] is not a string\n'
+
+
 def test_eval_machine_whose_state_nests_too_deeply_to_write(tmp_path, capsys):
     # 1,100 loop vertices sum to one state nested 1,100 pairs deep
     lines = ["graph ()"] + [f"vertex {i} loop:1" for i in range(1100)]

@@ -1,12 +1,21 @@
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ima import automata, dflow, laws
 from ima import graph as gr
 from ima import term as tm
-from ima.automata import ANCHOR, TuringAutomaton, atomic_switch, reverse, sum_automata
+from ima.automata import (
+    ANCHOR,
+    AutomataAlgebra,
+    TuringAutomaton,
+    atomic_switch,
+    reverse,
+    sum_automata,
+)
 from ima.dflow import (
     Config,
     DFlowAlgebra,
@@ -475,6 +484,18 @@ def test_dflow_trace_and_reindex_reject_wrong_ranks():
         alg.reindex(x, perm_identity(Obj.parse("BAAB")))
 
 
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_spine_sum_of_automata_is_the_binary_left_fold(seed):
+    # the spine sum folds left, so product states nest as ((q1, q2), q3)
+    rng = random.Random(seed)
+    a, b, c = (laws.random_automaton(rng, laws.random_obj(rng)) for _ in range(3))
+    assert AutomataAlgebra().sum((a, b, c)) == sum_automata(sum_automata(a, b), c)
+    alg = DFlowAlgebra(laws.DATA)
+    x, y, z = (laws.random_dflow(rng, laws.random_obj(rng)) for _ in range(3))
+    assert alg.sum((x, y, z)) == alg.sum((alg.sum((x, y)), z))
+
+
 def test_step_index_is_built_once():
     m = path_machine(alternating_switch(2), 3)
     index = m.step_index
@@ -889,7 +910,7 @@ def test_file_round_trip_random_automata():
         w, v = laws.random_obj(rng, 3), laws.random_obj(rng, 2)
         a, b = laws.random_automaton(rng, w), laws.random_automaton(rng, v)
         x, y = laws.random_dflow(rng, w), laws.random_dflow(rng, v)
-        for auto in (a, x, sum_automata(a, b), dflow_alg.sum(x, y)):
+        for auto in (a, x, sum_automata(a, b), dflow_alg.sum((x, y))):
             assert round_trips(auto), format_automaton(auto)
 
 
@@ -906,6 +927,14 @@ def test_automaton_of_sorts_that_print_as_the_unit_cannot_be_built():
     # ``(`` then ``)`` would print as ``()`` and read back as the unit
     with pytest.raises(ValueError, match="is not one letter"):
         TuringAutomaton(Obj((Sort("("), Sort(")"))), (0,), set())
+
+
+@pytest.mark.parametrize("iface", [["a", "b"], {"a": 1}, 5], ids=["list", "object", "number"])
+def test_parse_automaton_rejects_an_interface_that_is_not_a_string(iface):
+    doc = {"interface": iface, "states": [0], "transitions": []}
+    message = f"malformed automaton file: interface {json.dumps(iface)} is not a string"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_automaton(json.dumps(doc))
 
 
 def test_file_format_shapes():

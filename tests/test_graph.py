@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import re
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ima
 from ima import term as tm
@@ -203,6 +205,19 @@ def test_identity_graph_unit_is_empty():
     assert not g.vertices and not g.edges
 
 
+def test_identity_graphs_and_atoms_equal_the_checked_build():
+    # both skip the constructor's checks: their parts come from a word or
+    # an alphabet, already checked
+    graphs = [identity_graph(Obj.parse(w)) for w in ("()", "A", "AB", "BAA")]
+    graphs += [atom(ALPHABET, name) for name in ALPHABET.symbols]
+    for g in graphs:
+        want = SigmaGraph(g.vertices, g.edges)
+        assert g.vertices == want.vertices
+        assert g._partner == want._partner
+        assert g._ifaces == want._ifaces
+        assert g.rank_word() == want.rank_word()
+
+
 def test_identity_graph_two_sorts():
     g = identity_graph(AB)
     assert g.rank_word() == Obj.parse("ABAB")
@@ -263,6 +278,41 @@ def test_sum_commutes_up_to_symmetry():
         block_transposition(g2.rank_word(), g1.rank_word()),
     )
     assert isomorphic(lhs, rhs)
+
+
+def spread(g, rng):
+    """``g`` with its vertex ids moved to random ids with gaps, listed in a
+    random order."""
+    vids = list(g.vertices)
+    rng.shuffle(vids)
+    move = dict(zip(vids, rng.sample(range(3 * len(vids) + 2), len(vids))))
+    return SigmaGraph(
+        {move[v]: g.vertices[v] for v in vids},
+        [{(move[a], i), (move[b], j)} for (a, i), (b, j) in map(sorted, g.edges)],
+    )
+
+
+def parts(g):
+    return (list(g.vertices.items()), list(g._partner.items()), g._ifaces, g.rank_word())
+
+
+summands = st.one_of(
+    st.integers(0, 2**32 - 1).map(random.Random).map(
+        lambda rng: spread(random_graph(rng, random_obj(rng, 3)), rng)),
+    st.sampled_from(["()", "A", "AB"]).map(Obj.parse).map(identity_graph),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(summands, min_size=1, max_size=5), st.lists(st.integers(0, 4), min_size=2, max_size=9))
+def test_spine_sum_is_the_binary_left_fold_exactly(pool, picks):
+    # a summand may occur more than once, as a repeated atom does in a term
+    gs = [pool[i % len(pool)] for i in picks]
+    before = [parts(g) for g in gs]
+    got = GRAPH_ALGEBRA.sum(gs)
+    assert parts(got) == parts(functools.reduce(sum_graphs, gs))
+    assert [parts(g) for g in gs] == before
+    assert_well_formed(got)
 
 
 # -- trace ----------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -172,6 +174,36 @@ def test_term_equal_detects_extra_loop():
 def test_term_equal_rank_mismatch():
     with pytest.raises(RankError):
         tm.term_equal(tm.parse("atom f"), tm.parse("atom g"), ALPHABET)
+
+
+def test_term_equal_atom_outside_the_alphabet():
+    # ``term_equal`` ranks through ``evaluate``, so a missing atom is named
+    # as ``normalize`` names it
+    for t1, t2 in [("atom zz", "atom f"), ("atom f", "atom f + atom zz")]:
+        with pytest.raises(MissingSymbol, match="'zz'") as err:
+            tm.term_equal(tm.parse(t1), tm.parse(t2), ALPHABET)
+        assert isinstance(err.value, ImaError)
+
+
+def test_normalize_tape_scales_near_linearly():
+    # a left fold of binary sums rebuilt the growing graph at every step,
+    # so 4x the cells took about 19x the time.  The sizes are timed in
+    # turn, with the garbage collector off as timeit does, so that a pause
+    # in the machine's load or a collection falls on one run, not one size.
+    alphabet = RankedAlphabet({"cell": Obj.parse("AA")})
+    terms = {n: decompose(tape_graph(n)) for n in (1000, 4000)}
+    best = dict.fromkeys(terms, float("inf"))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(7):
+            for n, t in terms.items():
+                start = time.perf_counter()
+                tm.normalize(t, alphabet)
+                best[n] = min(best[n], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert best[4000] <= 8 * best[1000]
 
 
 # -- printing ----------------------------------------------------------------------

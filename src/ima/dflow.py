@@ -84,8 +84,10 @@ class DFlowAutomaton:
 
 
 def lift_symbol(rho: PermSymbol, k: int) -> PermSymbol:
-    """A sort-level symbol applied to blocks of k positions in parallel."""
-    return PermSymbol(tuple(expand_word(b, k) for b in rho.blocks), rho.pi)
+    """A sort-level symbol applied to blocks of k positions in parallel;
+    ``rho.pi`` permutes the lifted blocks as it does the blocks, so the
+    symbol is built unchecked."""
+    return PermSymbol._assemble(tuple(expand_word(b, k) for b in rho.blocks), rho.pi)
 
 
 class DFlowAlgebra:

@@ -13,6 +13,7 @@ checks and for building the two readings of a grouped symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ImaError, NotComposable
@@ -97,7 +98,9 @@ class PermSymbol:
     """Blocks ``b_1 .. b_n`` plus a block permutation.
 
     ``pi[j]`` is the index of the block placed at target slot ``j``, so the
-    codomain word is ``blocks[pi[0]] .. blocks[pi[n-1]]``.
+    codomain word is ``blocks[pi[0]] .. blocks[pi[n-1]]``.  ``dom``,
+    ``cod`` and ``flatten()`` are computed on first use and kept; ``==``
+    and ``hash`` read the kept values.
     """
 
     blocks: tuple[Obj, ...]
@@ -108,20 +111,32 @@ class PermSymbol:
         if sorted(self.pi) != list(range(n)):
             raise ValueError(f"pi must be a permutation of 0..{n - 1}")
 
-    @property
+    @classmethod
+    def _assemble(cls, blocks: tuple[Obj, ...], pi: tuple[int, ...]) -> "PermSymbol":
+        """A symbol whose ``pi`` is a permutation of the blocks by
+        construction, unchecked: the operations below build only such."""
+        rho = object.__new__(cls)
+        rho.__dict__.update(blocks=blocks, pi=pi)
+        return rho
+
+    @cached_property
     def dom(self) -> Obj:
         return concat(self.blocks)
 
-    @property
+    @cached_property
     def cod(self) -> Obj:
         return concat([self.blocks[i] for i in self.pi])
 
     def cod_blocks(self) -> tuple[Obj, ...]:
-        return tuple(self.blocks[i] for i in self.pi)
+        return tuple(map(self.blocks.__getitem__, self.pi))
 
     def flatten(self) -> tuple[int, ...]:
         """The induced position bijection: source letter ``i`` lands at
         target position ``flatten()[i]`` (0-based)."""
+        return self._flat
+
+    @cached_property
+    def _flat(self) -> tuple[int, ...]:
         n = len(self.blocks)
         dom_off = [0] * n
         for i in range(1, n):
@@ -147,11 +162,11 @@ class PermSymbol:
         return (
             self.dom == other.dom
             and self.cod == other.cod
-            and self.flatten() == other.flatten()
+            and self._flat == other._flat
         )
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self.flatten()))
+        return hash((self.dom, self.cod, self._flat))
 
     def __repr__(self):
         body = ")(".join(str(b) for b in self.blocks)
@@ -161,13 +176,13 @@ class PermSymbol:
 
 def identity(w: Obj) -> PermSymbol:
     """The identity symbol on ``w``; blocks are the single letters of ``w``."""
-    return PermSymbol(tuple(Obj.of(s) for s in w), tuple(range(len(w))))
+    return PermSymbol._assemble(tuple(Obj.of(s) for s in w), tuple(range(len(w))))
 
 
 def block_transposition(v: Obj, w: Obj) -> PermSymbol:
     """The symbol ``vw => wv`` moving the first ``|v|`` positions past the
     last ``|w|``; stored as the two blocks ``(v)(w)`` swapped."""
-    return PermSymbol((v, w), (1, 0))
+    return PermSymbol._assemble((v, w), (1, 0))
 
 
 def from_positions(word: Obj, sends: Sequence[int]) -> PermSymbol:
@@ -179,7 +194,7 @@ def from_positions(word: Obj, sends: Sequence[int]) -> PermSymbol:
     pi = [0] * n
     for i, j in enumerate(sends):
         pi[j] = i
-    return PermSymbol(tuple(Obj.of(s) for s in word), tuple(pi))
+    return PermSymbol._assemble(tuple(Obj.of(s) for s in word), tuple(pi))
 
 
 def compose(r1: PermSymbol, r2: PermSymbol) -> PermSymbol:
@@ -190,15 +205,15 @@ def compose(r1: PermSymbol, r2: PermSymbol) -> PermSymbol:
     """
     if r1.cod_blocks() != r2.blocks:
         raise NotComposable(f"cannot compose {r1!r} with {r2!r}")
-    pi = tuple(r1.pi[r2.pi[j]] for j in range(len(r1.blocks)))
-    return PermSymbol(r1.blocks, pi)
+    pi = tuple(map(r1.pi.__getitem__, r2.pi))
+    return PermSymbol._assemble(r1.blocks, pi)
 
 
 def tensor(r1: PermSymbol, r2: PermSymbol) -> PermSymbol:
     """Side-by-side juxtaposition; the second symbol's blocks are shifted."""
     n1 = len(r1.blocks)
     pi = r1.pi + tuple(n1 + i for i in r2.pi)
-    return PermSymbol(r1.blocks + r2.blocks, pi)
+    return PermSymbol._assemble(r1.blocks + r2.blocks, pi)
 
 
 def tensor_all(symbols: Sequence[PermSymbol]) -> PermSymbol:
@@ -207,14 +222,17 @@ def tensor_all(symbols: Sequence[PermSymbol]) -> PermSymbol:
     blocks: list[Obj] = []
     pi: list[int] = []
     for rho in symbols:
-        pi += (len(blocks) + i for i in rho.pi)
+        shift = len(blocks)
+        pi += [shift + i for i in rho.pi]
         blocks += rho.blocks
-    return PermSymbol(tuple(blocks), tuple(pi))
+    return PermSymbol._assemble(tuple(blocks), tuple(pi))
 
 
 def from_groups_fine(groups: Sequence[Sequence[Obj]], alpha: Sequence[int]) -> PermSymbol:
     """Read a grouped symbol at the letter level: one block per inner
     object, the group permutation ``alpha`` lifted blockwise."""
+    if sorted(alpha) != list(range(len(groups))):
+        raise ValueError("alpha must be a permutation of the groups")
     blocks: list[Obj] = []
     offsets = []
     for g in groups:
@@ -223,7 +241,7 @@ def from_groups_fine(groups: Sequence[Sequence[Obj]], alpha: Sequence[int]) -> P
     pi: list[int] = []
     for src in alpha:
         pi.extend(range(offsets[src], offsets[src] + len(groups[src])))
-    return PermSymbol(tuple(blocks), tuple(pi))
+    return PermSymbol._assemble(tuple(blocks), tuple(pi))
 
 
 def from_groups_coarse(groups: Sequence[Sequence[Obj]], alpha: Sequence[int]) -> PermSymbol:

@@ -171,50 +171,87 @@ def _postorder(t: Term) -> list:
 # -- ranking ------------------------------------------------------------------
 
 
-def rank(t: Term, ranks: Mapping[str, Obj]) -> Obj:
-    """The unique rank word of ``t``, with atom ranks from ``ranks``."""
+def _checked_fold(t: Term, alg, symbols: Mapping[str, object]):
+    """The value of ``t`` in ``alg``, atoms taking their values from
+    ``symbols``: one fold that checks each node's operand ranks, read with
+    ``alg.rank_of``, before it applies the algebra's operation.  The first
+    node in postorder that is ill-ranked, or that is an atom ``symbols``
+    lacks, raises ``RankError`` carrying that node.  These are the rank
+    rules of terms, stated once for :func:`rank` and :func:`evaluate`."""
 
-    def visit(t, rs):
-        if isinstance(t, Atom):
-            if t.name not in ranks:
+    def visit(t, vs):
+        cls = t.__class__
+        if cls is Atom:
+            if t.name not in symbols:
                 raise RankError(f"unknown atom {t.name!r}", t)
-            return ranks[t.name]
-        if isinstance(t, Id):
-            return t.w + t.w
-        if isinstance(t, Sum):
-            return pm.concat(rs)
-        if isinstance(t, Trace):
-            r = rs[0]
+            return symbols[t.name]
+        if cls is Id:
+            return alg.identity(t.w)
+        if cls is Sum:
+            return alg.sum(vs)
+        if cls is Trace:
+            r = alg.rank_of(vs[0])
             n = len(t.w)
             if r[: 2 * n] != t.w + t.w:
                 raise RankError(
                     f"trace over {t.w} needs rank starting {t.w}{t.w}, got {r}", t
                 )
-            return r[2 * n :]
-        if isinstance(t, Index):
-            r = rs[0]
+            return alg.trace(t.w, vs[0])
+        if cls is Index:
+            r = alg.rank_of(vs[0])
             if t.rho.dom != r:
                 raise RankError(
                     f"indexing expects domain {r}, symbol has {t.rho.dom}", t
                 )
-            return t.rho.cod
-        if isinstance(t, Comp):
-            rl, rr = rs
+            return alg.reindex(vs[0], t.rho)
+        if cls is Comp:
+            rl, rr = alg.rank_of(vs[0]), alg.rank_of(vs[1])
             if rl != t.a + t.b:
                 raise RankError(f"left of comp has rank {rl}, split says {t.a + t.b}", t)
             if rr != t.b + t.c:
                 raise RankError(f"right of comp has rank {rr}, split says {t.b + t.c}", t)
-            return t.a + t.c
-        if isinstance(t, Tensor):
-            rl, rr = rs
+            return compose_in(alg, *vs, t.a, t.b, t.c)
+        if cls is Tensor:
+            rl, rr = alg.rank_of(vs[0]), alg.rank_of(vs[1])
             if rl != t.a + t.b:
                 raise RankError(f"left of ten has rank {rl}, split says {t.a + t.b}", t)
             if rr != t.c + t.d:
                 raise RankError(f"right of ten has rank {rr}, split says {t.c + t.d}", t)
-            return t.a + t.c + t.b + t.d
+            return tensor_in(alg, *vs, t.a, t.b, t.c, t.d)
         raise TypeError(f"not a term: {t!r}")
 
     return fold(t, visit)
+
+
+class _RankWords:
+    """The algebra whose values are rank words: a value's rank is itself."""
+
+    def identity(self, w: Obj) -> Obj:
+        return w + w
+
+    def sum(self, xs) -> Obj:
+        return pm.concat(xs)
+
+    def trace(self, w: Obj, x: Obj) -> Obj:
+        return x[2 * len(w) :]
+
+    def reindex(self, x: Obj, rho: PermSymbol) -> Obj:
+        return rho.cod
+
+    def rank_of(self, x: Obj) -> Obj:
+        return x
+
+
+_RANK_WORDS = _RankWords()
+
+
+def rank(t: Term, ranks: Mapping[str, Obj]) -> Obj:
+    """The unique rank word of ``t``, with atom ranks from ``ranks``: its
+    value in the algebra of rank words, by the checked fold that
+    :func:`evaluate` runs.  An ill-ranked node or an atom missing from
+    ``ranks`` raises ``RankError`` carrying the first such node in
+    postorder."""
+    return _checked_fold(t, _RANK_WORDS, ranks)
 
 
 def trace_early(t: Term, ranks: Mapping[str, Obj]) -> Term:
@@ -296,11 +333,14 @@ def evaluate(t: Term, interp: Interpretation):
     """Fold ``t`` through the target algebra; the unique homomorphic
     extension of the symbol assignment.  Each ``Sum`` spine is one
     ``alg.sum`` call on all its summands, left to right.  ``comp`` and
-    ``ten`` are the algebra's derived composition and tensor.  A term
+    ``ten`` are the algebra's derived composition and tensor.  The same
+    fold checks each node's operand ranks, read with ``alg.rank_of``,
+    before the algebra sees them, by the rules :func:`rank` uses.  A term
     naming an atom the interpretation lacks raises ``MissingSymbol``, any
-    other ill-ranked term ``RankError``."""
+    other ill-ranked term ``RankError`` carrying its first ill-ranked
+    node in postorder."""
     try:
-        rank(t, interp.ranks())
+        return _checked_fold(t, interp.algebra, interp.symbols)
     except RankError:
         missing = atoms(t) - interp.symbols.keys()
         if missing:
@@ -308,24 +348,6 @@ def evaluate(t: Term, interp: Interpretation):
                 f"interpretation does not cover {sorted(missing)[0]!r}"
             ) from None
         raise
-    alg = interp.algebra
-
-    def visit(t, vs):
-        if isinstance(t, Atom):
-            return interp.symbols[t.name]
-        if isinstance(t, Id):
-            return alg.identity(t.w)
-        if isinstance(t, Sum):
-            return alg.sum(vs)
-        if isinstance(t, Trace):
-            return alg.trace(t.w, vs[0])
-        if isinstance(t, Index):
-            return alg.reindex(vs[0], t.rho)
-        if isinstance(t, Comp):
-            return compose_in(alg, *vs, t.a, t.b, t.c)
-        return tensor_in(alg, *vs, t.a, t.b, t.c, t.d)  # rank let only terms through
-
-    return fold(t, visit)
 
 
 def atoms(t: Term) -> set[str]:
@@ -356,8 +378,8 @@ def normalize(t: Term, alphabet):
 
 def term_equal(t1: Term, t2: Term, alphabet) -> bool:
     """Terms denote the same morphism in every algebra exactly when their
-    graph normal forms are isomorphic.  Both terms are ranked once, as
-    :func:`evaluate` folds them through one graph interpretation; normal
+    graph normal forms are isomorphic.  :func:`evaluate` folds both terms
+    through one graph interpretation, checking ranks as it goes; normal
     forms of different rank words raise ``RankError``."""
     from . import graph as gr
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ima.dflow import lift_symbol
 from ima.errors import NotComposable
 from ima.perm import (
     Obj,
@@ -15,6 +16,7 @@ from ima.perm import (
     from_positions,
     identity,
     tensor,
+    tensor_all,
 )
 
 A = Obj.parse("A")
@@ -84,6 +86,29 @@ def test_flatten_of_block_symbol():
 def test_bad_permutation_rejected():
     with pytest.raises(ValueError):
         PermSymbol((A, B), (0, 0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PermSymbol((A, B), (0, 0)),
+    lambda: PermSymbol((A, B), (1,)),
+    lambda: PermSymbol((A,), (1,)),
+    lambda: from_positions(AB, (0, 0)),
+    lambda: from_positions(AB, (1,)),
+    lambda: from_groups_coarse(((A,), (B,)), (0, 0)),
+    lambda: from_groups_coarse(((A,), (B,)), (0,)),
+    lambda: from_groups_fine(((A,), (B, C)), (1, 1)),
+    lambda: from_groups_fine(((A,), (B, C)), (1,)),
+])
+def test_constructors_given_pi_or_alpha_reject_a_non_permutation(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("alpha", [(0,), (0, 2), (1, 1, 0)])
+def test_from_groups_fine_checks_alpha_itself(alpha):
+    # an empty group lifts to no block, so only alpha can show these
+    with pytest.raises(ValueError, match="alpha must be a permutation of the groups"):
+        from_groups_fine(((A,), ()), alpha)
 
 
 # -- composition and tensor --------------------------------------------------
@@ -229,13 +254,14 @@ def test_generator_pairs_are_flatten_equal(ga):
 
 
 def test_symbol_hash_grows_linearly():
-    """``dom`` and ``cod`` concatenate the blocks into one tuple, so hashing
-    a symbol on 4x the letters takes about 4x as long; a pairwise fold of
-    ``Obj.__add__`` took about 12x.  The sizes are hashed in turn, best of
-    25, with the garbage collector off, so that a pause in the machine's
-    load or a collection falls on one run, not one size.  At 4,000 and
-    16,000 letters the permuted lookups of ``flatten`` outgrow the CPU
-    caches, and the linear hash alone took 6-11x."""
+    """A symbol keeps ``dom``, ``cod`` and ``flatten()`` once computed, so
+    each timed ``hash`` hashes the kept views, and on 4x the letters it
+    takes about 4x as long.  ``dom`` and ``cod`` are each one tuple: a
+    pairwise fold of ``Obj.__add__`` took about 12x.  The sizes are hashed
+    in turn, best of 25, with the garbage collector off, so that a pause in
+    the machine's load or a collection falls on one run, not one size.  At
+    4,000 and 16,000 letters, when each hash recomputed ``flatten``, its
+    permuted lookups outgrew the CPU caches and the hash took 6-11x."""
     import gc
     import time
 
@@ -256,3 +282,77 @@ def test_symbol_hash_grows_linearly():
     finally:
         gc.enable()
     assert best[4_000] <= 8 * best[1_000]
+
+
+# -- internal constructors -----------------------------------------------------
+
+def fresh_views(rho):
+    """``dom``, ``cod`` and the flattening of ``rho`` from its blocks and
+    ``pi``, one letter at a time: the letters in domain order, each tagged
+    by its block and place in it, and their positions in codomain order."""
+    letters = [(i, k) for i, b in enumerate(rho.blocks) for k in range(len(b))]
+    moved = [(i, k) for i in rho.pi for k in range(len(rho.blocks[i]))]
+    at = {tag: j for j, tag in enumerate(moved)}
+    return (
+        Obj(tuple(rho.blocks[i].word[k] for i, k in letters)),
+        Obj(tuple(rho.blocks[i].word[k] for i, k in moved)),
+        tuple(at[tag] for tag in letters),
+    )
+
+
+@st.composite
+def built(draw):
+    """A zero-argument call of one operation that builds its symbol
+    unchecked, on drawn operands."""
+    op = draw(st.sampled_from(
+        ["compose", "tensor", "tensor_all", "identity", "block_transposition", "lift_symbol"]
+    ))
+    if op == "compose":
+        r1, r2 = draw(composable_pairs())
+        return lambda: compose(r1, r2)
+    if op == "tensor":
+        r1, r2 = draw(symbols()), draw(symbols())
+        return lambda: tensor(r1, r2)
+    if op == "tensor_all":
+        rs = draw(st.lists(symbols(), max_size=4))
+        return lambda: tensor_all(rs)
+    if op == "identity":
+        w = draw(objs)
+        return lambda: identity(w)
+    if op == "block_transposition":
+        v, w = draw(objs), draw(objs)
+        return lambda: block_transposition(v, w)
+    rho, k = draw(symbols()), draw(st.integers(1, 3))
+    return lambda: lift_symbol(rho, k)
+
+
+@settings(max_examples=200)
+@given(built())
+def test_unchecked_results_equal_the_checked_build(build):
+    # views read first, then hash and ==, then the views again
+    r = build()
+    assert type(r.blocks) is tuple and type(r.pi) is tuple
+    assert sorted(r.pi) == list(range(len(r.blocks)))
+    views = fresh_views(r)
+    assert (r.dom, r.cod, r.flatten()) == views
+    checked = PermSymbol(r.blocks, r.pi)
+    assert hash(r) == hash(checked) and r == checked and checked == r
+    assert (r.dom, r.cod, r.flatten()) == views
+    # a second build: hash and == before any view is read
+    r = build()
+    assert hash(r) == hash(checked) and r == checked
+    assert (r.dom, r.cod, r.flatten()) == views
+    assert r.flatten() is r.flatten() and r.dom is r.dom and r.cod is r.cod
+
+
+@given(st.lists(symbols(), max_size=4), st.integers(1, 3))
+def test_tensor_all_and_lift_symbol_flatten_as_defined(rs, k):
+    f = tensor_all(rs).flatten()
+    expected, n = [], 0
+    for rho in rs:
+        expected += [n + j for j in rho.flatten()]
+        n += len(rho.dom)
+    assert f == tuple(expected)
+    for rho in rs:
+        lifted = lift_symbol(rho, k).flatten()
+        assert lifted == tuple(j * k + d for j in rho.flatten() for d in range(k))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ima import dflow, term as tm
+from ima.automata import AUTOMATA_ALGEBRA, identity_automaton
 from ima.errors import ImaError, MissingSymbol, ParseError, RankError
 from ima.graph import RankedAlphabet,atom, decompose, identity_graph, isomorphic, sum_graphs
 from ima.laws import random_graph, random_obj
@@ -147,6 +148,106 @@ def test_deeply_nested_term_walkers():
     assert tm.atoms(tm.Sum(t, tm.Atom("f"))) == {"f"}
     assert tm.format_term(t).count("tr((), ") == 1500
     assert isomorphic(tm.evaluate(t, graph_interp()), identity_graph(A))
+
+
+# -- rank errors, through rank and evaluate -------------------------------------
+
+F, G = tm.Atom("f"), tm.Atom("g")  # ranks BA and ABA
+
+ILL_RANKED = [
+    (tm.Trace(B, F), "trace over B needs rank starting BB, got BA"),
+    (tm.Index(F, identity(Obj.parse("AB"))), "indexing expects domain BA, symbol has AB"),
+    (tm.Comp(A, A, A, F, tm.Id(A)), "left of comp has rank BA, split says AA"),
+    (tm.Comp(B, A, A, F, G), "right of comp has rank ABA, split says AA"),
+    (tm.Tensor(A, A, B, B, F, tm.Id(B)), "left of ten has rank BA, split says AA"),
+    (tm.Tensor(B, A, B, B, F, G), "right of ten has rank ABA, split says BB"),
+]
+
+
+def around(bad):
+    """``bad`` as a summand under a trace, both well-ranked around it."""
+    return tm.Trace(UNIT, tm.Sum(tm.Id(A), bad))
+
+
+@pytest.mark.parametrize("bad, message", ILL_RANKED)
+def test_ill_ranked_node_raises_rank_error_carrying_it(bad, message):
+    for run in (lambda t: tm.evaluate(t, graph_interp()), lambda t: tm.rank(t, RANKS)):
+        with pytest.raises(RankError) as err:
+            run(around(bad))
+        assert type(err.value) is RankError
+        assert str(err.value) == message
+        assert err.value.subterm is bad
+
+
+def test_first_ill_ranked_node_in_postorder_is_reported():
+    (first, message), (second, _) = ILL_RANKED[3], ILL_RANKED[0]
+    for run in (lambda t: tm.evaluate(t, graph_interp()), lambda t: tm.rank(t, RANKS)):
+        with pytest.raises(RankError, match=message) as err:
+            run(tm.Sum(first, second))
+        assert err.value.subterm is first
+
+
+def other_interpretations():
+    """An automata and a data-flow interpretation of ``x`` at rank AA."""
+    flow = dflow.DFlowAlgebra((0, 1))
+    return [
+        tm.Interpretation(AUTOMATA_ALGEBRA, {"x": identity_automaton(A)}),
+        tm.Interpretation(flow, {"x": flow.identity(A)}),
+    ]
+
+
+@pytest.mark.parametrize("which, bad, message", [
+    (0, tm.Trace(B, tm.Atom("x")), "trace over B needs rank starting BB, got AA"),
+    (1, tm.Index(tm.Atom("x"), block_transposition(A, B)),
+     "indexing expects domain AA, symbol has AB"),
+])
+def test_ill_ranked_node_in_automata_and_dflow(which, bad, message):
+    interp = other_interpretations()[which]
+    with pytest.raises(RankError) as err:
+        tm.evaluate(around(bad), interp)
+    assert str(err.value) == message
+    assert err.value.subterm is bad
+
+
+def test_missing_atom_wins_over_an_earlier_ill_ranked_node():
+    cases = [(graph_interp(), bad) for bad, _ in ILL_RANKED]
+    cases += [(interp, tm.Trace(B, tm.Atom("x"))) for interp in other_interpretations()]
+    for interp, bad in cases:
+        t = tm.Sum(around(bad), tm.Atom("zz"))
+        with pytest.raises(MissingSymbol, match="^interpretation does not cover 'zz'$"):
+            tm.evaluate(t, interp)
+
+
+def test_rank_values_and_unknown_atoms():
+    assert tm.rank(tm.Comp(B, A, A, F, tm.Id(A)), RANKS) == Obj.parse("BA")
+    assert tm.rank(tm.Tensor(B, A, A, A, F, tm.Id(A)), RANKS) == Obj.parse("BAAA")
+    assert tm.rank(tm.Index(G, block_transposition(A, Obj.parse("BA"))), RANKS) == Obj.parse("BAA")
+    zz = tm.Atom("zz")
+    with pytest.raises(RankError, match="^unknown atom 'zz'$") as err:
+        tm.rank(tm.Sum(F, zz), RANKS)
+    assert err.value.subterm is zz
+    # an ill-ranked node before the unknown atom is the one reported
+    bad, message = ILL_RANKED[0]
+    with pytest.raises(RankError, match=message) as err:
+        tm.rank(tm.Sum(bad, zz), RANKS)
+    assert err.value.subterm is bad
+    with pytest.raises(RankError, match="^unknown atom 'zz'$") as err:
+        tm.rank(tm.Sum(zz, bad), RANKS)
+    assert err.value.subterm is zz
+
+
+def test_evaluate_never_calls_rank(monkeypatch):
+    def spy(*args):
+        raise AssertionError("evaluate called term.rank")
+
+    monkeypatch.setattr(tm, "rank", spy)
+    t = tm.parse("tr(A, (atom f + id(A)) . c(B,AA)#id(A))")
+    assert isomorphic(tm.evaluate(t, graph_interp()), atom(ALPHABET, "f"))
+    bad, _ = ILL_RANKED[2]
+    with pytest.raises(RankError):
+        tm.evaluate(around(bad), graph_interp())
+    with pytest.raises(MissingSymbol):
+        tm.evaluate(tm.Sum(around(bad), tm.Atom("zz")), graph_interp())
 
 
 # -- term equality ----------------------------------------------------------------

@@ -19,8 +19,10 @@ a 1-based position.  A data-flow automaton, the only kind ``omega``
 accepts, also has ``data``; its interface is the port word and x and y
 are "*" or a [datum, port] pair.  Tuple states are written as lists and
 read back as tuples.  State files (``simulate --state``) map vertex ids
-to local states, also with lists read as tuples.  All outputs are
-deterministic: collections are sorted before printing.
+to local states.  Lists in a local state and in a machine file's
+``data`` are read as tuples too, so a machine and its automaton files
+name the same data.  All outputs are deterministic: collections are
+sorted before printing.
 """
 
 from __future__ import annotations
@@ -89,7 +91,13 @@ def load_machine(path: str) -> GraphMachine:
         if not isinstance(doc[key], kind):
             raise bad(repr(key), doc[key], wanted)
     graph = gr.parse_graph((mpath.parent / doc["graph"]).read_text())
-    data = tuple(doc["data"])
+    try:
+        data = dflow._from_json(doc["data"])
+        hash(data)
+    except RecursionError:
+        raise ImaError("machine file: 'data' is nested too deeply") from None
+    except TypeError:
+        raise bad("'data'", doc["data"], "a list of data that hold no JSON object") from None
     omega = {}
     for name, spec in doc["omega"].items():
         if isinstance(spec, str):
@@ -279,17 +287,29 @@ def cmd_axioms(args) -> int:
     return 0 if report.ok else 1
 
 
+def _count(text: str) -> int:
+    """The value of a count option, an integer from 0; any other text is
+    a usage error (exit 2)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer from 0")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ima",
         description="indexed monoidal algebras: graphs, Turing automata, graph machines",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cases", type=int, default=100)
+    parser.add_argument("--cases", type=_count, default=100)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--dot", action="store_true")
-    parser.add_argument("--max-steps", type=int, default=20)
+    parser.add_argument("--max-steps", type=_count, default=20)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a term file and print it back")
@@ -338,10 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except ImaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as err:
+    except (ImaError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -307,45 +307,15 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
 
 
 def isomorphic(g1: SigmaGraph, g2: SigmaGraph) -> bool:
-    """Label-, port-order-, sort- and serial-preserving isomorphism."""
-    if g1.rank_word() != g2.rank_word():
-        return False
-    if len(g1.vertices) != len(g2.vertices) or len(g1._partner) != len(g2._partner):
-        return False
-    loops1 = sorted(g1.vertices[v].sort for v in g1.loop_vertices())
-    loops2 = sorted(g2.vertices[v].sort for v in g2.loop_vertices())
-    if loops1 != loops2:
-        return False
-
-    def wires(g):
-        out = set()
-        for p, q in g._partner.items():
-            lp, lq = g.vertices[p[0]], g.vertices[q[0]]
-            if isinstance(lp, InterfaceLabel) and isinstance(lq, InterfaceLabel):
-                out.add(frozenset({lp.serial, lq.serial}))
-        return out
-
-    if wires(g1) != wires(g2):
-        return False
-
-    def colored(g):
-        """Internal vertices coloured by label and the (port, serial) pairs
-        that attach them to interfaces; internal edges in both directions
-        as ``(v, (i, j), w)``."""
-        attached: dict[int, list] = {v: [] for v in g.internal_vertices()}
-        edges = []
-        for (v, i), (w, j) in g._partner.items():
-            if v not in attached:
-                continue
-            lab = g.vertices[w]
-            if isinstance(lab, InterfaceLabel):
-                attached[v].append((i, lab.serial))
-            else:
-                edges.append((v, (i, j), w))
-        colors = {v: (g.vertices[v], tuple(sorted(a))) for v, a in attached.items()}
-        return colors, edges
-
-    return find_bijection(*colored(g1), *colored(g2)) is not None
+    """Label-, port-order-, sort- and serial-preserving isomorphism: a
+    bijection of the graphs as stored, each vertex a node coloured by its
+    label and each partner-map entry ``(v, i) -> (w, j)`` an edge
+    ``(v, (i, j), w)``.  An interface label carries its serial and sort,
+    so the matcher pins interfaces, and with them the rank word and the
+    interface-to-interface wires; loop vertices are isolated nodes."""
+    def edges(g):
+        return [(v, (i, j), w) for (v, i), (w, j) in g._partner.items()]
+    return find_bijection(g1.vertices, edges(g1), g2.vertices, edges(g2)) is not None
 
 
 # -- decomposition into a term ----------------------------------------------

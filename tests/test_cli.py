@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import random
@@ -237,9 +238,14 @@ def test_machine_rejects_omega_file_without_data(machine_files, capsys):
         ({"omega": []}, "'omega' must be an object, not []"),
         (None, 'the document must be an object, not ["path.graph", [0, 1]]'),
         ({"graph": 3}, "'graph' must be a graph file name, not 3"),
+        ({"data": [0, {"a": 1}]},
+         "'data' must be a list of data that hold no JSON object, not [0, {\"a\": 1}]"),
+        # deep enough for reading lists as tuples, not for the JSON reader
+        ({"data": functools.reduce(lambda x, _: [x], range(700), 0)},
+         "'data' is nested too deeply"),
     ],
     ids=["data-number", "omega-entry-list", "builtin-list", "omega-list", "list-document",
-         "graph-number"],
+         "graph-number", "data-object", "data-nested-too-deeply"],
 )
 def test_eval_machine_document_of_wrong_shape(machine_files, capsys, change, message):
     doc = json.loads((machine_files / "m.json").read_text())
@@ -248,6 +254,21 @@ def test_eval_machine_document_of_wrong_shape(machine_files, capsys, change, mes
     code, out, err = run(capsys, "eval", "--machine", str(machine_files / "bad.json"))
     assert code == 2 and not out
     assert err.startswith(f"error: machine file: {message}")
+
+
+def test_eval_machine_reads_list_data_as_its_automaton_files_do(machine_files, capsys):
+    data = [[0, 1], [1, 0]]
+    auto = {"interface": "11", "data": data, "states": [0],
+            "transitions": [[0, [[0, 1], 1], 0, [[1, 0], 2]]]}
+    (machine_files / "f.auto.json").write_text(json.dumps(auto))
+    doc = {"graph": "path.graph", "data": data, "omega": {"c2": "f.auto.json"}}
+    (machine_files / "pairs.json").write_text(json.dumps(doc))
+    assert load_machine(str(machine_files / "pairs.json")).data == ((0, 1), (1, 0))
+    code, out, err = run(capsys, "eval", "--machine", str(machine_files / "pairs.json"))
+    assert code == 0 and not err
+    back = json.loads(out)
+    assert back["data"] == data
+    assert [0, [[0, 1], 1], 0, [[1, 0], 2]] in back["transitions"]
 
 
 def test_eval_plain_automaton_file(tmp_path, capsys):
@@ -601,6 +622,24 @@ def test_axioms_zero_cases(capsys):
     code, out, _ = run(capsys, "--cases", "0", "axioms", "automata")
     assert code == 0
     assert "I1: 0 cases ok" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--cases", "-3", "axioms", "graphs"),
+        ("--cases", "two", "axioms", "graphs"),
+        ("--max-steps", "-1", "simulate", "--machine", "m.json", "--state", "s.json",
+         "--from", "1", "--to", "2"),
+    ],
+    ids=["negative-cases", "word-cases", "negative-max-steps"],
+)
+def test_counts_must_be_integers_from_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[0]}: {argv[1]!r} is not an integer from 0" in err
 
 
 def test_axioms_mutation_detected(capsys):

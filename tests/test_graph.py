@@ -493,6 +493,31 @@ def test_isomorphic_loop_count_matters():
     assert not isomorphic(one, two)
 
 
+LOOP_A, LOOP_B = trace(identity_graph(A), A), trace(identity_graph(B), B)
+EMPTY = identity_graph(UNIT)
+F_AND_K = sum_graphs(atom(ALPHABET, "f"), atom(ALPHABET, "k"))
+
+
+@pytest.mark.parametrize(
+    "g1, g2, verdict",
+    [
+        (LOOP_A, LOOP_B, False),
+        (atom(ALPHABET, "f"), F_AND_K, False),  # k has no ports, so no edges
+        (F_AND_K, sum_graphs(atom(ALPHABET, "k"), atom(ALPHABET, "f")), True),
+        (identity_graph(AB), identity_graph(Obj.parse("BA")), False),
+        (EMPTY, EMPTY, True),
+        (EMPTY, sum_graphs(EMPTY, trace(EMPTY, UNIT)), True),
+    ],
+    ids=["loops-of-other-sorts", "extra-portless-vertex", "portless-vertex-moved",
+         "interfaces-of-other-sorts", "empty", "empty-sum-and-trace"],
+)
+def test_isomorphic_tells_counts_apart_by_labels(g1, g2, verdict):
+    # isomorphic takes no count of vertices, edges, loops or interfaces:
+    # the matcher's label cells must decide these
+    assert isomorphic(g1, g2) == verdict
+    assert isomorphic(g2, g1) == verdict
+
+
 def test_loop_vertices_multiply():
     # separate closed chains leave separate loop vertices; they are never
     # collapsed into one

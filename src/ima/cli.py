@@ -17,12 +17,11 @@ the ``omega`` files above) share one JSON format, read and written by
 states and transition quadruples [q, x, q2, y] where x and y are "*" or
 a 1-based position.  A data-flow automaton, the only kind ``omega``
 accepts, also has ``data``; its interface is the port word and x and y
-are "*" or a [datum, port] pair.  Tuple states are written as lists and
-read back as tuples.  State files (``simulate --state``) map vertex ids
-to local states.  Lists in a local state and in a machine file's
-``data`` are read as tuples too, so a machine and its automaton files
-name the same data.  All outputs are deterministic: collections are
-sorted before printing.
+are "*" or a [datum, port] pair.  State files (``simulate --state``)
+map vertex ids to local states.  One loader, ``dflow.load_json``, reads
+the three: it reads every array as a tuple, so a machine names the data
+its automaton files do, and a file nested too deeply exits 2 with
+"<kind>: nested too deeply".  All outputs are sorted, so deterministic.
 """
 
 from __future__ import annotations
@@ -72,19 +71,17 @@ BUILTIN_AUTOMATA = {
 
 
 def load_machine(path: str) -> GraphMachine:
-    """The machine a JSON document describes (see the module docstring).
-    A document of another shape raises ``ImaError`` naming the key and
+    """The machine a JSON object describes (see the module docstring).
+    An object of another shape raises ``ImaError`` naming the key and
     its value."""
     mpath = Path(path)
-    doc = json.loads(mpath.read_text())
+    doc = dflow.load_json(mpath.read_text(), "machine file")
 
     def bad(what, value, wanted):
         return ImaError(f"machine file: {what} must be {wanted}, not {json.dumps(value)}")
 
-    if not isinstance(doc, dict):
-        raise bad("the document", doc, "an object")
     doc = {"omega": {}, **doc}
-    for key, kind, wanted in (("graph", str, "a graph file name"), ("data", list, "a list"),
+    for key, kind, wanted in (("graph", str, "a graph file name"), ("data", tuple, "a list"),
                               ("omega", dict, "an object")):
         if key not in doc:
             raise ImaError(f"machine file: missing key {key!r}")
@@ -92,10 +89,7 @@ def load_machine(path: str) -> GraphMachine:
             raise bad(repr(key), doc[key], wanted)
     graph = gr.parse_graph((mpath.parent / doc["graph"]).read_text())
     try:
-        data = dflow._from_json(doc["data"])
-        hash(data)
-    except RecursionError:
-        raise ImaError("machine file: 'data' is nested too deeply") from None
+        hash(doc["data"])
     except TypeError:
         raise bad("'data'", doc["data"], "a list of data that hold no JSON object") from None
     omega = {}
@@ -112,23 +106,18 @@ def load_machine(path: str) -> GraphMachine:
             raise bad(f"'omega' entry {name!r}", spec,
                       f'an automaton file name or {{"builtin": one of {sorted(BUILTIN_AUTOMATA)}, '
                       f'"n": an integer}}')
-    return GraphMachine(graph, data, omega)
+    return GraphMachine(graph, doc["data"], omega)
 
 
 def _load_state(path: str) -> dict[int, object]:
-    """The local states a state file gives, by vertex id; a document that
-    is not an object, or a key that is not a vertex id, raises
-    ``ImaError`` naming it."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ImaError(f"state file: the document must be an object, not {json.dumps(doc)}")
+    """The local states a state file gives, by vertex id; a key that is
+    not a vertex id raises ``ImaError`` naming it."""
     state = {}
-    for key, value in doc.items():
+    for key, value in dflow.load_json(Path(path).read_text(), "state file").items():
         try:
-            vid = int(key)
+            state[int(key)] = value
         except ValueError:
             raise ImaError(f"state file: key {key!r} is not a vertex id") from None
-        state[vid] = dflow._from_json(value)
     return state
 
 
@@ -228,12 +217,15 @@ def cmd_soliton(args) -> int:
     p = sol.make_presoliton(g)
     if not args.enumerate_pims and not (args.state and args.walk):
         raise ImaError("soliton needs --enumerate-pims or both --state and --walk")
+    names = {v: k for k, v in ids.items()}
+
+    def spell(ports):
+        return " ".join(f"{names[v]}:{port + 1}" for v, port in sorted(ports))
+
     if args.enumerate_pims:
-        names = {v: k for k, v in ids.items()}
         pims = sol.enumerate_pims(p)
         for q in sorted(pims, key=repr):
-            parts = [f"{names[v]}:{port + 1}" for v, port in sorted(q.items())]
-            print("pim " + " ".join(parts))
+            print("pim " + spell(q.items()))
         print(f"{len(pims)} perfect internal matchings")
         return 0
     q = sol.parse_plain_state(Path(args.state).read_text(), g, ids)
@@ -242,13 +234,8 @@ def cmd_soliton(args) -> int:
         raise ImaError(f"--walk {args.walk!r}: expected two endpoints i,j")
     i, j = (_endpoint("--walk", end) for end in ends)
     found = sol.soliton_walks(p, q, i, j, max_steps=args.max_steps)
-    names = {v: k for k, v in ids.items()}
     for walk, final in sorted(found, key=repr):
-        data = sol.walk_data(walk)
-        state_text = " ".join(
-            f"{names[v]}:{port + 1}" for v, port in sorted(final)
-        )
-        print(f"walk data {data} -> state {state_text}")
+        print(f"walk data {sol.walk_data(walk)} -> state {spell(final)}")
         if args.trace:
             for c in walk:
                 print("  " + _format_config(p.machine, c))

@@ -173,13 +173,44 @@ def atomic_switch_dflow(n: int, sort: Sort = DEFAULT_SORT) -> DFlowAutomaton:
 
 
 def _to_json(v):
-    """Tuples become lists, recursively; scalars pass through."""
-    return [_to_json(u) for u in v] if isinstance(v, tuple) else v
+    """Tuples become lists, frozensets lists sorted by their text, also in
+    objects; a generator a level, as in :func:`_from_json`, so both stop
+    at one depth."""
+    if isinstance(v, tuple):
+        return list(_to_json(u) for u in v)
+    if isinstance(v, frozenset):
+        return sorted((_to_json(u) for u in v), key=repr)
+    if isinstance(v, dict):
+        return {k: _to_json(u) for k, u in v.items()}
+    return v
 
 
 def _from_json(v):
-    """Inverse of :func:`_to_json`: lists become tuples, recursively."""
-    return tuple(_from_json(u) for u in v) if isinstance(v, list) else v
+    """Lists become tuples, recursively, also inside objects."""
+    if isinstance(v, list):
+        return tuple(_from_json(u) for u in v)
+    if isinstance(v, dict):
+        return {k: _from_json(u) for k, u in v.items()}
+    return v
+
+
+def load_json(text: str, kind: str) -> dict:
+    """The JSON object ``text``, every array in it read as a tuple; one
+    nested too deeply, or no object, raises ``ValueError`` naming ``kind``."""
+    try:
+        doc = _from_json(json.loads(text))
+    except RecursionError:
+        raise ValueError(f"{kind}: nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind}: the document must be an object, not {json.dumps(doc)}")
+    return doc
+
+
+def dump_json(doc: dict) -> str:
+    """``doc`` as text, tuples and frozensets as arrays.  It converts the
+    whole document from a frame as deep as :func:`load_json`, so what it
+    writes reads back; a deeper one raises ``RecursionError``."""
+    return json.dumps(_to_json(doc), indent=2, sort_keys=True) + "\n"
 
 
 def format_automaton(a: TuringAutomaton | DFlowAutomaton) -> str:
@@ -187,55 +218,46 @@ def format_automaton(a: TuringAutomaton | DFlowAutomaton) -> str:
     quadruples ``[q, x, r, y]``, each list sorted.  Positions are 1-based
     ints in a plain automaton; a data-flow automaton also lists its
     ``data``, has its port word as interface and writes positions as
-    ``[datum, port]``.  The anchor is ``"*"``.  Tuples (product states
-    from sums) are written as lists, so :func:`parse_automaton` reads the
-    text back to an equal automaton.  A state or datum nested too deeply
-    to write raises ``ImaError``."""
+    ``[datum, port]``.  The anchor is ``"*"``.  :func:`parse_automaton`
+    reads the text back to an equal automaton; a state or datum nested
+    too deeply to write raises ``ImaError``."""
     flow = isinstance(a, DFlowAutomaton)
     base = a.base if flow else a
-    doc = {"interface": str(a.sort_word if flow else a.iface)}
 
     def pos(x):
         if x == ANCHOR or not flow:
             return x
         port, d = decode_position(x, len(a.data))
-        return [_to_json(a.data[d]), port]
+        return (a.data[d], port)
 
+    doc = {"interface": str(a.sort_word if flow else a.iface), "states": base.states,
+           "transitions": frozenset((q, pos(x), r, pos(y)) for (q, x), (r, y) in base.delta)}
+    if flow:
+        doc["data"] = a.data
     try:
-        if flow:
-            doc["data"] = _to_json(a.data)
-        doc["states"] = sorted((_to_json(q) for q in base.states), key=repr)
-        doc["transitions"] = sorted(
-            (
-                [_to_json(q), pos(x), _to_json(r), pos(y)]
-                for (q, x), (r, y) in base.delta
-            ),
-            key=repr,
-        )
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return dump_json(doc)
     except RecursionError:
         raise ImaError("cannot write automaton: a state or datum is nested too deeply") from None
 
 
 def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
-    """Read the JSON written by :func:`format_automaton`: a data-flow
-    automaton when the document has ``data``, a plain one otherwise.
-    A document of the wrong shape, nested too deeply, with a key missing,
-    or with a datum or port outside its ``data`` or port word raises
-    ``ValueError``, as does an interface that is not a string; an
-    interface word with a character that is no sort raises ``ImaError``
-    naming it."""
+    """Read the JSON written by :func:`format_automaton` with
+    :func:`load_json`: a data-flow automaton when it has ``data``, a plain
+    one otherwise.  A document :func:`load_json` refuses, of the wrong
+    shape, with a key missing, with a datum or port outside its ``data``
+    or port word, or whose interface is not a string raises
+    ``ValueError``; an interface character that is no sort ``ImaError``."""
+    doc = load_json(text, "malformed automaton file")
     try:
-        doc = json.loads(text)
         iface = doc["interface"]
         if not isinstance(iface, str):
             raise ValueError(
                 f"malformed automaton file: interface {json.dumps(iface)} is not a string"
             )
         word = Obj.read(iface, f"malformed automaton file: interface {iface!r}")
-        states = frozenset(_from_json(q) for q in doc["states"])
+        states = frozenset(doc["states"])
         flow = "data" in doc
-        data = tuple(_from_json(d) for d in doc["data"]) if flow else ()
+        data = tuple(doc["data"]) if flow else ()
 
         def pos(x):
             if x == ANCHOR:
@@ -243,9 +265,9 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
             try:
                 if not flow:
                     return int(x)
-                if not (isinstance(x, list) and len(x) == 2):
+                if not (isinstance(x, tuple) and len(x) == 2):
                     raise ValueError
-                d, port = _from_json(x[0]), int(x[1])
+                d, port = x[0], int(x[1])
             except (TypeError, ValueError):
                 wanted = "a [datum, port] pair" if flow else "a position number"
                 raise ValueError(
@@ -260,18 +282,13 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
                 )
             return position_of(port, data.index(d), len(data))
 
-        delta = frozenset(
-            ((_from_json(q), pos(x)), (_from_json(r), pos(y)))
-            for q, x, r, y in doc["transitions"]
-        )
+        delta = frozenset(((q, pos(x)), (r, pos(y))) for q, x, r, y in doc["transitions"])
         base = TuringAutomaton(expand_word(word, len(data)) if flow else word, states, delta)
         return DFlowAutomaton(data, word, base) if flow else base
     except TypeError as err:
         raise ValueError(f"malformed automaton file: {err}") from None
     except KeyError as err:
         raise ValueError(f"malformed automaton file: missing key {err}") from None
-    except RecursionError:
-        raise ValueError("malformed automaton file: nested too deeply") from None
 
 
 # -- graph machines -----------------------------------------------------------

@@ -184,10 +184,6 @@ class LawCheck:
     symbols: dict
 
 
-def _interp(aut: AlgebraUnderTest, symbols: dict) -> tm.Interpretation:
-    return tm.Interpretation(aut.algebra, symbols)
-
-
 def gen_I1(rng, aut) -> list[LawCheck]:
     w = random_obj(rng)
     f = aut.random_element(rng, w)
@@ -510,7 +506,7 @@ class RunReport:
 
 
 def check_one(aut: AlgebraUnderTest, check: LawCheck) -> bool:
-    interp = _interp(aut, check.symbols)
+    interp = tm.Interpretation(aut.algebra, check.symbols)
     lhs = tm.evaluate(check.lhs, interp)
     rhs = tm.evaluate(check.rhs, interp)
     return aut.algebra.equivalent(lhs, rhs)

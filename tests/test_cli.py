@@ -240,9 +240,9 @@ def test_machine_rejects_omega_file_without_data(machine_files, capsys):
         ({"graph": 3}, "'graph' must be a graph file name, not 3"),
         ({"data": [0, {"a": 1}]},
          "'data' must be a list of data that hold no JSON object, not [0, {\"a\": 1}]"),
-        # deep enough for reading lists as tuples, not for the JSON reader
+        # too deep for reading arrays as tuples, not for the JSON reader
         ({"data": functools.reduce(lambda x, _: [x], range(700), 0)},
-         "'data' is nested too deeply"),
+         "nested too deeply"),
     ],
     ids=["data-number", "omega-entry-list", "builtin-list", "omega-list", "list-document",
          "graph-number", "data-object", "data-nested-too-deeply"],
@@ -466,6 +466,22 @@ def test_simulate_rejects_a_state_key_that_is_not_a_vertex_id(machine_files, cap
     code, out, err = simulate(capsys, machine_files, "m.json", {"x": 1}, "1", "2")
     assert (code, out) == (2, "")
     assert err == "error: state file: key 'x' is not a vertex id\n"
+
+
+@pytest.mark.parametrize("depth", [600, 100_000])
+@pytest.mark.parametrize("kind", ["machine", "state"])
+def test_file_nested_too_deeply_exits_two(machine_files, capsys, kind, depth):
+    # spliced text: building the value would recurse as deep as the file
+    deep = "[" * depth + "0" + "]" * depth
+    f = machine_files / "deep.json"
+    if kind == "machine":
+        f.write_text('{"graph": "path.graph", "data": [' + deep + ", 1]}")
+        argv = ("eval", "--machine", str(f))
+    else:
+        f.write_text('{"0": ' + deep + "}")
+        argv = ("simulate", "--machine", str(machine_files / "m.json"), "--state", str(f),
+                "--from", "1", "--to", "2")
+    assert run(capsys, *argv) == (2, "", f"error: {kind} file: nested too deeply\n")
 
 
 @pytest.mark.parametrize("frm, to", [("7", "1"), ("1", "7"), ("*", "7")])
@@ -715,10 +731,11 @@ def test_soliton_graph_file_rejects_a_misread_interface_list(soliton_files, caps
 # Each kind of file the CLI reads starts from a valid example, takes one to
 # three mutations in the style of grammar-based fuzzing (drop a key or line,
 # swap a value's type, wrap a value in a list, change a tuple's length,
-# repeat a line or list item, nest a term deeper) and is run through every
-# command that reads it.  Every run must exit 0 or 2: a reader that lets a
-# malformed file through as an untyped exception fails the gate.  Drawn
-# values stay small, so no example asks for a large switch arity or tape.
+# repeat a line or list item, nest a term deeper, bury a value 600 to
+# 100,000 arrays deep) and is run through every command that reads it.
+# Every run must exit 0 or 2: a reader that lets a malformed file through
+# as an untyped exception fails the gate.  Drawn values stay small, so no
+# example asks for a large switch arity or tape.
 
 FUZZ_FILES = {
     "path.graph": "graph 11\nvertex 0 sym:c2\nvertex 1 in:1:1\nvertex 2 in:2:1\n"
@@ -757,6 +774,7 @@ SMALL_VALUES = st.one_of(
 )
 TOKENS = ["0", "1", "2", "7", "-1", "x", "A", "*", "->", ":", "()", "1.1", "in:1:1", "sym:c2",
           "sym:c2:11", "id(A)", "atom", "tr(A,", ")", "+", "."]
+BURY_DEPTHS = [600, 1100, 100_000]
 NESTINGS = ["({})", "tr((), {})", "id() + ({})", "({}) . id(A)", "tr(A, id(A) + ({}))"]
 
 
@@ -776,14 +794,20 @@ def _json_at(doc, path):
 @st.composite
 def mutated_json(draw, doc):
     doc = copy.deepcopy(doc)
+    buried = []
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_json_paths(doc))))
         node = _json_at(doc, path)
-        kind = draw(st.sampled_from(["drop", "retype", "wrap", "resize", "repeat"]))
+        kind = draw(st.sampled_from(["drop", "retype", "wrap", "resize", "repeat", "bury"]))
         if kind == "drop" and path:
             del _json_at(doc, path[:-1])[path[-1]]
             continue
-        if kind == "retype":
+        if kind == "bury":
+            # a marker now, spliced into the text at the end: a value
+            # nested n deep would make this test recurse as deep
+            new = f"buried {len(buried)}"
+            buried.append((new, draw(st.sampled_from(BURY_DEPTHS)), json.dumps(node)))
+        elif kind == "retype":
             new = draw(SMALL_VALUES.filter(lambda v, old=node: type(v) is not type(old)))
         elif kind == "resize" and isinstance(node, list):
             new = node[:-1] if node and draw(st.booleans()) else node + [draw(SMALL_VALUES)]
@@ -796,7 +820,10 @@ def mutated_json(draw, doc):
             _json_at(doc, path[:-1])[path[-1]] = new
         else:
             doc = new
-    return json.dumps(doc)
+    text = json.dumps(doc)
+    for marker, n, inner in reversed(buried):
+        text = text.replace(json.dumps(marker), "[" * n + inner + "]" * n)
+    return text
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +41,7 @@ from ima.dflow import (
     walk_closure,
     walks,
 )
-from ima.errors import IllFormedConfig, InvalidArity, InvalidSpec, RankMismatch
+from ima.errors import IllFormedConfig, ImaError, InvalidArity, InvalidSpec, RankMismatch
 from ima.graph import (
     DEFAULT_SORT,
     InterfaceLabel,
@@ -921,6 +922,49 @@ def test_file_round_trip_digit_and_underscore_sorts():
     flow = DFlowAutomaton((0, 1), word, base)
     for a in (plain, flow):
         assert round_trips(a), format_automaton(a)
+
+
+def sweep_writer_limit(frames):
+    """Below ``frames`` more frames of stack: find the writer's limit L,
+    the first depth of a one-state automaton's state that
+    ``format_automaton`` refuses; from L - 5 to L + 5, check that every
+    text it writes reads back equal, and that the reader refuses the
+    automaton's text from L on.  Writer and reader are called from this
+    one frame, so both see the same stack."""
+    if frames:
+        return sweep_writer_limit(frames - 1)
+
+    def auto(depth):
+        q = 0
+        for _ in range(depth):
+            q = (q,)
+        return TuringAutomaton(Obj.parse("A"), (q,), {((q, 1), (q, ANCHOR))})
+
+    ok, limit = 0, sys.getrecursionlimit()
+    while limit - ok > 1:
+        mid = (ok + limit) // 2
+        try:
+            format_automaton(auto(mid))
+            ok = mid
+        except ImaError:
+            limit = mid
+    for depth in range(limit - 5, limit + 6):
+        a = auto(depth)
+        if depth < limit:
+            assert parse_automaton(format_automaton(a)) == a, depth
+            continue
+        with pytest.raises(ImaError, match="nested too deeply"):
+            format_automaton(a)
+        q = "[" * depth + "0" + "]" * depth
+        text = f'{{"interface": "A", "states": [{q}], "transitions": [[{q}, 1, {q}, "*"]]}}'
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_automaton(text)
+
+
+@pytest.mark.parametrize("frames", [0, 1])
+def test_writer_and_reader_stop_at_one_depth(frames):
+    # two frames per level of nesting: sweep both parities of the stack
+    sweep_writer_limit(frames)
 
 
 def test_automaton_of_sorts_that_print_as_the_unit_cannot_be_built():

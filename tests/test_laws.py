@@ -1,9 +1,12 @@
 import itertools
 import random
 
-from ima import laws
+import pytest
+
+from ima import laws, term as tm
 from ima.automata import AUTOMATA_ALGEBRA, TuringAutomaton
 from ima.dflow import DFlowAlgebra, DFlowAutomaton
+from ima.graph import RankedAlphabet, decompose
 from ima.perm import Obj
 
 
@@ -57,6 +60,40 @@ def test_zero_cases_report():
     report = laws.run_families(laws.graphs_under_test(), laws.AXIOM_FAMILIES, cases=0, seed=0)
     assert report.ok
     assert all(n == 0 for n in report.cases.values())
+
+
+def coherence_failures(aut, cases=15, seed=3) -> list:
+    """The coherence theorem as an oracle: graphs are the free indexed
+    monoidal algebra, so each side ``t`` of every law instance has the
+    value of ``decompose(normalize(t))``, and of that term with its
+    traces taken early, in any algebra.  The three terms reach the value
+    through other sums, trace widths and reindexings.  Returns the
+    (family, case, term) of each side that differs."""
+    failures = []
+    for family, generate in laws.ALL_FAMILIES.items():
+        rng = random.Random((seed, family, aut.name).__repr__())
+        for case in range(cases):
+            for check in generate(rng, aut):
+                interp = tm.Interpretation(aut.algebra, check.symbols)
+                ranks = interp.ranks()
+                for t in (check.lhs, check.rhs):
+                    normal = decompose(tm.normalize(t, RankedAlphabet(ranks)))
+                    value = tm.evaluate(t, interp)
+                    failures += [
+                        (family, case, tm.format_term(t))
+                        for other in (normal, tm.trace_early(normal, ranks))
+                        if not aut.algebra.equivalent(value, tm.evaluate(other, interp))
+                    ]
+    return failures
+
+
+@pytest.mark.parametrize("name", sorted(laws.ALGEBRAS))
+def test_terms_evaluate_as_their_normal_forms(name):
+    assert coherence_failures(laws.ALGEBRAS[name]()) == []
+
+
+def test_coherence_oracle_catches_the_mutant():
+    assert coherence_failures(laws.automata_under_test(broken_alternation=True))
 
 
 def brute_force_equivalent(t1: TuringAutomaton, t2: TuringAutomaton) -> bool:

@@ -100,7 +100,7 @@ def load_machine(path: str) -> GraphMachine:
                 raise ImaError(f"automaton file {spec!r} for {name!r} has no data")
             omega[name] = auto
         elif (isinstance(spec, dict) and isinstance(spec.get("builtin"), str)
-              and spec["builtin"] in BUILTIN_AUTOMATA and isinstance(spec.get("n"), int)):
+              and spec["builtin"] in BUILTIN_AUTOMATA and type(spec.get("n")) is int):
             omega[name] = BUILTIN_AUTOMATA[spec["builtin"]](spec["n"])
         else:
             raise bad(f"'omega' entry {name!r}", spec,
@@ -178,7 +178,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _format_config(m: GraphMachine, c) -> str:
+def _format_config(c) -> str:
     locals_ = " ".join(f"{vid}={state!r}" for vid, state in c.local)
     if c.locus[0] == "anchor":
         where = "anchor"
@@ -206,7 +206,7 @@ def cmd_simulate(args) -> int:
         ):
             print(f"walk ({len(walk) - 1} steps):")
             for c in walk:
-                print("  " + _format_config(m, c))
+                print("  " + _format_config(c))
     if not pairs:
         print("no complete walks")
     return 0
@@ -238,7 +238,7 @@ def cmd_soliton(args) -> int:
         print(f"walk data {sol.walk_data(walk)} -> state {spell(final)}")
         if args.trace:
             for c in walk:
-                print("  " + _format_config(p.machine, c))
+                print("  " + _format_config(c))
     if not found:
         print("no complete walks")
     pim = sol.is_pim(p, q)

@@ -244,20 +244,28 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
     """Read the JSON written by :func:`format_automaton` with
     :func:`load_json`: a data-flow automaton when it has ``data``, a plain
     one otherwise.  A document :func:`load_json` refuses, of the wrong
-    shape, with a key missing, with a datum or port outside its ``data``
-    or port word, or whose interface is not a string raises
-    ``ValueError``; an interface character that is no sort ``ImaError``."""
+    shape (an interface not a string, a transition not an array of four,
+    ``states``, ``transitions`` or ``data`` not an array), with a key
+    missing, or with a datum or port outside its ``data`` or port word
+    raises ``ValueError``; an interface character that is no sort ``ImaError``."""
     doc = load_json(text, "malformed automaton file")
+
+    def refuse(what, value, wanted):
+        return ValueError(f"malformed automaton file: {what} {json.dumps(value)} is not {wanted}")
+
+    def array(key):
+        if not isinstance(doc[key], tuple):
+            raise refuse(key, doc[key], "an array")
+        return doc[key]
+
     try:
         iface = doc["interface"]
         if not isinstance(iface, str):
-            raise ValueError(
-                f"malformed automaton file: interface {json.dumps(iface)} is not a string"
-            )
+            raise refuse("interface", iface, "a string")
         word = Obj.read(iface, f"malformed automaton file: interface {iface!r}")
-        states = frozenset(doc["states"])
+        states = frozenset(array("states"))
         flow = "data" in doc
-        data = tuple(doc["data"]) if flow else ()
+        data = array("data") if flow else ()
 
         def pos(x):
             if x == ANCHOR:
@@ -270,9 +278,7 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
                 d, port = x[0], int(x[1])
             except (TypeError, ValueError):
                 wanted = "a [datum, port] pair" if flow else "a position number"
-                raise ValueError(
-                    f"malformed automaton file: position {json.dumps(x)} is not \"*\" or {wanted}"
-                ) from None
+                raise refuse("position", x, f'"*" or {wanted}') from None
             if d not in data:
                 raise ValueError(f"malformed automaton file: datum {d!r} not in data {data!r}")
             if not 1 <= port <= len(word):
@@ -282,7 +288,11 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
                 )
             return position_of(port, data.index(d), len(data))
 
-        delta = frozenset(((q, pos(x)), (r, pos(y))) for q, x, r, y in doc["transitions"])
+        quads = array("transitions")
+        for quad in quads:
+            if not (isinstance(quad, tuple) and len(quad) == 4):
+                raise refuse("transition", quad, "an array of four")
+        delta = frozenset(((q, pos(x)), (r, pos(y))) for q, x, r, y in quads)
         base = TuringAutomaton(expand_word(word, len(data)) if flow else word, states, delta)
         return DFlowAutomaton(data, word, base) if flow else base
     except TypeError as err:

@@ -21,10 +21,6 @@ class RankError(ImaError):
         self.subterm = subterm
 
 
-class SplitMismatch(ImaError):
-    """Domain/codomain splits supplied to compose/tensor do not agree."""
-
-
 class UnknownSymbol(ImaError):
     """A symbol name that is not declared in the ranked alphabet."""
 

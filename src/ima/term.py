@@ -27,7 +27,6 @@ from itertools import islice
 from typing import Mapping
 
 from . import perm as pm
-from .algebra import compose_in, tensor_in
 from .errors import MissingSymbol, ParseError, RankError
 from .perm import Obj, PermSymbol, Sort
 
@@ -210,14 +209,16 @@ def _checked_fold(t: Term, alg, symbols: Mapping[str, object]):
                 raise RankError(f"left of comp has rank {rl}, split says {t.a + t.b}", t)
             if rr != t.b + t.c:
                 raise RankError(f"right of comp has rank {rr}, split says {t.b + t.c}", t)
-            return compose_in(alg, *vs, t.a, t.b, t.c)
+            rho = pm.tensor(pm.block_transposition(t.a, t.b + t.b), pm.identity(t.c))
+            return alg.trace(t.b, alg.reindex(alg.sum(vs), rho))
         if cls is Tensor:
             rl, rr = alg.rank_of(vs[0]), alg.rank_of(vs[1])
             if rl != t.a + t.b:
                 raise RankError(f"left of ten has rank {rl}, split says {t.a + t.b}", t)
             if rr != t.c + t.d:
                 raise RankError(f"right of ten has rank {rr}, split says {t.c + t.d}", t)
-            return tensor_in(alg, *vs, t.a, t.b, t.c, t.d)
+            rho = pm.tensor_all([pm.identity(t.a), pm.block_transposition(t.b, t.c), pm.identity(t.d)])
+            return alg.reindex(alg.sum(vs), rho)
         raise TypeError(f"not a term: {t!r}")
 
     return fold(t, visit)
@@ -320,7 +321,14 @@ def trace_early(t: Term, ranks: Mapping[str, Obj]) -> Term:
 
 @dataclass(frozen=True)
 class Interpretation:
-    """A target algebra plus a rank-preserving symbol assignment."""
+    """A target algebra plus a rank-preserving symbol assignment.
+
+    The algebra exposes ``identity``, ``sum``, ``trace``, ``reindex``,
+    ``rank_of`` and ``equivalent``.  ``sum`` takes the summands of one
+    ``Sum`` spine, two or more, left to right, so it can build them in one
+    pass; its value is the left fold of the binary sum.  :func:`evaluate`
+    derives composition and tensor, using the splits ``comp`` and ``ten``
+    carry, since a rank word alone does not determine them."""
 
     algebra: object
     symbols: Mapping[str, object]
@@ -333,7 +341,7 @@ def evaluate(t: Term, interp: Interpretation):
     """Fold ``t`` through the target algebra; the unique homomorphic
     extension of the symbol assignment.  Each ``Sum`` spine is one
     ``alg.sum`` call on all its summands, left to right.  ``comp`` and
-    ``ten`` are the algebra's derived composition and tensor.  The same
+    ``ten`` are built from the algebra's sum, reindexing and trace.  The same
     fold checks each node's operand ranks, read with ``alg.rank_of``,
     before the algebra sees them, by the rules :func:`rank` uses.  A term
     naming an atom the interpretation lacks raises ``MissingSymbol``, any

@@ -21,8 +21,7 @@ from ima.automata import (
     sum_automata,
     trace_automaton,
 )
-from ima import automata, dflow, laws
-from ima.algebra import compose_in, tensor_in
+from ima import automata, dflow, laws, term as tm
 from ima.perm import Obj, block_transposition, compose, from_positions, identity
 from test_dflow import differential_machines
 
@@ -33,6 +32,10 @@ UNIT = Obj.parse("()")
 
 def rel(pairs, size=2):
     return Rel.from_pairs(size, pairs)
+
+
+def evaluated(alg, term, **symbols):
+    return tm.evaluate(term, tm.Interpretation(alg, symbols))
 
 
 # -- Rel -----------------------------------------------------------------------
@@ -202,9 +205,9 @@ def test_sum_with_unit_identity():
 
 
 def test_tensor_of_identities_is_identity():
-    got = tensor_in(AutomataAlgebra(), identity_automaton(A), identity_automaton(B), A, A, B, B)
-    want = identity_automaton(Obj.parse("AB"))
-    assert equivalent_automata(got, want)
+    for alg in (AutomataAlgebra(), dflow.DFlowAlgebra((0, 1))):
+        got = evaluated(alg, tm.Tensor(A, A, B, B, tm.Id(A), tm.Id(B)))
+        assert alg.equivalent(got, alg.identity(Obj.parse("AB")))
 
 
 # -- trace ----------------------------------------------------------------------------
@@ -268,18 +271,23 @@ def test_trace_rank_mismatch():
 
 # -- derived ops -----------------------------------------------------------------------
 
+def two_port_switches():
+    """The two-port switch, its sort and its algebra, plain and data-flow."""
+    t, flow = atomic_switch(2), dflow.alternating_switch(2)
+    return [(AutomataAlgebra(), t, Obj.of(t.iface.word[0])),
+            (dflow.DFlowAlgebra(flow.data), flow, Obj.of(flow.sort_word.word[0]))]
+
+
 def test_compose_with_identity_automaton():
-    t = atomic_switch(2)
-    s = Obj.of(t.iface.word[0])
-    got = compose_in(AutomataAlgebra(), t, identity_automaton(s), s, s, s)
-    assert equivalent_automata(got, t)
+    for alg, t, s in two_port_switches():
+        got = evaluated(alg, tm.Comp(s, s, s, tm.Atom("t"), tm.Id(s)), t=t)
+        assert alg.equivalent(got, t)
 
 
 def test_compose_identity_left_automaton():
-    t = atomic_switch(2)
-    s = Obj.of(t.iface.word[0])
-    got = compose_in(AutomataAlgebra(), identity_automaton(s), t, s, s, s)
-    assert equivalent_automata(got, t)
+    for alg, t, s in two_port_switches():
+        got = evaluated(alg, tm.Comp(s, s, s, tm.Id(s), tm.Atom("t")), t=t)
+        assert alg.equivalent(got, t)
 
 
 # -- reverse and determinism --------------------------------------------------------------

@@ -238,6 +238,8 @@ def test_machine_rejects_omega_file_without_data(machine_files, capsys):
         ({"omega": []}, "'omega' must be an object, not []"),
         (None, 'the document must be an object, not ["path.graph", [0, 1]]'),
         ({"graph": 3}, "'graph' must be a graph file name, not 3"),
+        ({"omega": {"c2": {"builtin": "alternating_switch", "n": True}}},
+         "'omega' entry 'c2' must be an automaton file name or "),
         ({"data": [0, {"a": 1}]},
          "'data' must be a list of data that hold no JSON object, not [0, {\"a\": 1}]"),
         # too deep for reading arrays as tuples, not for the JSON reader
@@ -245,7 +247,7 @@ def test_machine_rejects_omega_file_without_data(machine_files, capsys):
          "nested too deeply"),
     ],
     ids=["data-number", "omega-entry-list", "builtin-list", "omega-list", "list-document",
-         "graph-number", "data-object", "data-nested-too-deeply"],
+         "graph-number", "builtin-arity-boolean", "data-object", "data-nested-too-deeply"],
 )
 def test_eval_machine_document_of_wrong_shape(machine_files, capsys, change, message):
     doc = json.loads((machine_files / "m.json").read_text())
@@ -768,10 +770,13 @@ FUZZ_COMMANDS = {
     "q.txt": [SOLITON_WALK],
 }
 
-SMALL_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-1, 3), st.sampled_from([0.5, -2.0]),
-    st.sampled_from(["", "x", "*", "1", "A", "c2", "path.graph"]), st.just([]), st.just({}),
-)
+SMALL_VALUES_BY_TYPE = {
+    type(None): st.none(), bool: st.booleans(), int: st.integers(-1, 3),
+    float: st.sampled_from([0.5, -2.0]),
+    str: st.sampled_from(["", "x", "*", "1", "A", "c2", "path.graph"]),
+    list: st.just([]), dict: st.just({}),
+}
+SMALL_VALUES = st.one_of(*SMALL_VALUES_BY_TYPE.values())
 TOKENS = ["0", "1", "2", "7", "-1", "x", "A", "*", "->", ":", "()", "1.1", "in:1:1", "sym:c2",
           "sym:c2:11", "id(A)", "atom", "tr(A,", ")", "+", "."]
 BURY_DEPTHS = [600, 1100, 100_000]
@@ -808,7 +813,9 @@ def mutated_json(draw, doc):
             new = f"buried {len(buried)}"
             buried.append((new, draw(st.sampled_from(BURY_DEPTHS)), json.dumps(node)))
         elif kind == "retype":
-            new = draw(SMALL_VALUES.filter(lambda v, old=node: type(v) is not type(old)))
+            # from the other types only: a filter would discard the draws of the old one
+            new = draw(st.one_of(*(values for cls, values in SMALL_VALUES_BY_TYPE.items()
+                                   if cls is not type(node))))
         elif kind == "resize" and isinstance(node, list):
             new = node[:-1] if node and draw(st.booleans()) else node + [draw(SMALL_VALUES)]
         elif kind == "repeat" and isinstance(node, list) and node:

@@ -981,6 +981,25 @@ def test_parse_automaton_rejects_an_interface_that_is_not_a_string(iface):
         parse_automaton(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "change, what",
+    [
+        ({"states": "ab"}, 'states "ab" is not an array'),
+        ({"states": {"a": 1}}, 'states {"a": 1} is not an array'),
+        ({"transitions": {}}, "transitions {} is not an array"),
+        ({"data": "01"}, 'data "01" is not an array'),
+        ({"transitions": ["0101"]}, 'transition "0101" is not an array of four'),
+        ({"transitions": [[0, 1, 0]]}, "transition [0, 1, 0] is not an array of four"),
+    ],
+    ids=["states-string", "states-object", "transitions-object", "data-string",
+         "transition-string", "transition-of-three"],
+)
+def test_parse_automaton_rejects_a_part_that_is_not_an_array(change, what):
+    doc = {"interface": "1", "states": [0], "transitions": [], **change}
+    with pytest.raises(ValueError, match=re.escape(f"malformed automaton file: {what}")):
+        parse_automaton(json.dumps(doc))
+
+
 def test_file_format_shapes():
     plain = json.loads(format_automaton(atomic_switch(2)))
     assert plain["interface"] == "11" and "data" not in plain

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import ima
 from ima import term as tm
-from ima.algebra import compose_in, tensor_in
 from ima.errors import ImaError, RankMismatch, UnknownSymbol
 from ima.graph import (
     GRAPH_ALGEBRA,
@@ -31,7 +30,7 @@ from ima.graph import (
     to_dot,
     trace,
 )
-from ima.dflow import tm_encode, unary_increment_tm
+from ima.dflow import DFlowAlgebra, alternating_switch, tm_encode, unary_increment_tm
 from ima.laws import SORTS, random_graph, random_obj, random_symbol_on
 from ima.perm import Obj, Sort, block_transposition, identity
 from sweeps import random_port_graph
@@ -452,28 +451,36 @@ def test_trace_equals_the_checked_rebuild():
 
 # -- derived composition and tensor -----------------------------------------------
 
+FLOW = DFlowAlgebra((0, 1))
+
+
+def rank_ba_values():
+    """A value of rank BA, read as B -> A, in the graph and the data-flow
+    algebra, with its algebra."""
+    flow_f = FLOW.sum([alternating_switch(1, SB), alternating_switch(1, SA)])
+    return [(GRAPH_ALGEBRA, atom(ALPHABET, "f")), (FLOW, flow_f)]
+
+
+def evaluated(alg, term, **symbols):
+    return tm.evaluate(term, tm.Interpretation(alg, symbols))
+
+
 def test_compose_with_identity():
-    f = atom(ALPHABET, "f")  # read as B -> A
-    assert isomorphic(compose_in(GRAPH_ALGEBRA, f, identity_graph(A), B, A, A), f)
+    for alg, f in rank_ba_values():
+        got = evaluated(alg, tm.Comp(B, A, A, tm.Atom("f"), tm.Id(A)), f=f)
+        assert alg.equivalent(got, f)
 
 
 def test_compose_identity_left():
-    f = atom(ALPHABET, "f")
-    assert isomorphic(compose_in(GRAPH_ALGEBRA, identity_graph(B), f, B, B, A), f)
+    for alg, f in rank_ba_values():
+        got = evaluated(alg, tm.Comp(B, B, A, tm.Id(B), tm.Atom("f")), f=f)
+        assert alg.equivalent(got, f)
 
 
 def test_tensor_of_identities():
-    got = tensor_in(GRAPH_ALGEBRA, identity_graph(A), identity_graph(B), A, A, B, B)
-    assert isomorphic(got, identity_graph(AB))
-
-
-def test_compose_split_mismatch():
-    from ima.errors import SplitMismatch
-
-    with pytest.raises(SplitMismatch):
-        compose_in(GRAPH_ALGEBRA, atom(ALPHABET, "f"), identity_graph(A), A, B, B)
-    with pytest.raises(SplitMismatch):
-        tensor_in(GRAPH_ALGEBRA, identity_graph(A), identity_graph(B), A, B, B, B)
+    for alg in (GRAPH_ALGEBRA, FLOW):
+        got = evaluated(alg, tm.Tensor(A, A, B, B, tm.Id(A), tm.Id(B)))
+        assert alg.equivalent(got, alg.identity(AB))
 
 
 # -- isomorphism -------------------------------------------------------------------

@@ -161,6 +161,10 @@ ILL_RANKED = [
     (tm.Comp(B, A, A, F, G), "right of comp has rank ABA, split says AA"),
     (tm.Tensor(A, A, B, B, F, tm.Id(B)), "left of ten has rank BA, split says AA"),
     (tm.Tensor(B, A, B, B, F, G), "right of ten has rank ABA, split says BB"),
+    # the split words join to BAABA, the operands' joined rank, so only the
+    # node's own check catches these before the derived sum is built
+    (tm.Comp(Obj.parse("BAAB"), UNIT, A, F, G), "left of comp has rank BA, split says BAAB"),
+    (tm.Tensor(B, Obj.parse("AA"), B, A, F, G), "left of ten has rank BA, split says BAA"),
 ]
 
 

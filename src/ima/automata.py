@@ -62,14 +62,6 @@ class Rel:
         return tuple(rows)
 
     @staticmethod
-    def empty(size: int) -> "Rel":
-        return Rel(size, {})
-
-    @staticmethod
-    def identity(size: int) -> "Rel":
-        return Rel(size, {i: 1 << i for i in range(size)})
-
-    @staticmethod
     def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> "Rel":
         succ: dict[int, int] = {}
         for i, j in pairs:
@@ -77,14 +69,7 @@ class Rel:
         return Rel(size, succ)
 
     def pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for i in sorted(self.succ):
-            row = self.succ[i]
-            while row:
-                low = row & -row
-                out.append((i, low.bit_length() - 1))
-                row ^= low
-        return out
+        return [(i, j) for i, js in sorted(_split(self)) for j in js]
 
     def union(self, other: "Rel") -> "Rel":
         if not other.succ:
@@ -117,10 +102,7 @@ class Rel:
         return Rel(self.size, out)
 
     def converse(self) -> "Rel":
-        succ: dict[int, int] = {}
-        for i, j in self.pairs():
-            succ[j] = succ.get(j, 0) | 1 << i
-        return Rel(self.size, succ)
+        return Rel.from_pairs(self.size, ((j, i) for i, j in self.pairs()))
 
     def is_empty(self) -> bool:
         return not self.succ
@@ -145,7 +127,7 @@ def _compose_split(size: int, split: list[tuple[int, list[int]]], other: Rel) ->
     followed by ``other``; a new empty relation when either is empty."""
     right = other.succ
     if not split or not right:
-        return Rel.empty(size)
+        return Rel(size, {})
     succ = {}
     for i, js in split:
         acc = 0
@@ -233,7 +215,7 @@ def _decode(names: tuple, table: Table) -> frozenset:
 def identity_automaton(w: Obj) -> TuringAutomaton:
     """Single state; position i bounces to |w|+i and back. No anchor moves."""
     n = len(w)
-    bounce = Rel.identity(1)
+    bounce = Rel(1, {0: 1})
     table: Table = {}
     for i in range(1, n + 1):
         table[(i, n + i)] = table[(n + i, i)] = bounce
@@ -309,7 +291,7 @@ def trace_automaton(t: TuringAutomaton, w: Obj) -> TuringAutomaton:
     # the elimination runs on the dense table over all positions and the
     # anchor; every absent entry is one shared empty relation
     size = len(t.names)
-    empty = Rel.empty(size)
+    empty = Rel(size, {})
     keys: list[Pos] = list(range(1, len(t.iface) + 1)) + [ANCHOR]
     entry = t.table.get
     table: Table = {(x, y): entry((x, y), empty) for x in keys for y in keys}

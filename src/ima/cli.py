@@ -27,6 +27,7 @@ its automaton files do, and a file nested too deeply exits 2 with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -73,7 +74,8 @@ BUILTIN_AUTOMATA = {
 def load_machine(path: str) -> GraphMachine:
     """The machine a JSON object describes (see the module docstring).
     An object of another shape raises ``ImaError`` naming the key and
-    its value."""
+    its value.  A builtin is built only for a name that some vertex
+    carries, and only once its ``n`` equals those vertices' arity."""
     mpath = Path(path)
     doc = dflow.load_json(mpath.read_text(), "machine file")
 
@@ -92,6 +94,11 @@ def load_machine(path: str) -> GraphMachine:
         hash(doc["data"])
     except TypeError:
         raise bad("'data'", doc["data"], "a list of data that hold no JSON object") from None
+    # the arities that the vertices carrying each name want, in vertex order
+    wants: dict[str, list[int]] = {}
+    for vid in graph.internal_vertices():
+        lab = graph.vertices[vid]
+        wants.setdefault(lab.name, []).append(len(lab.rank))
     omega = {}
     for name, spec in doc["omega"].items():
         if isinstance(spec, str):
@@ -101,7 +108,12 @@ def load_machine(path: str) -> GraphMachine:
             omega[name] = auto
         elif (isinstance(spec, dict) and isinstance(spec.get("builtin"), str)
               and spec["builtin"] in BUILTIN_AUTOMATA and type(spec.get("n")) is int):
-            omega[name] = BUILTIN_AUTOMATA[spec["builtin"]](spec["n"])
+            n = spec["n"]
+            other = next((k for k in wants.get(name, ()) if k != n), None)
+            if n >= 1 and other is not None:
+                raise ImaError(f"automaton for {name!r} has arity {n}, vertex wants {other}")
+            if n < 1 or name in wants:
+                omega[name] = BUILTIN_AUTOMATA[spec["builtin"]](n)
         else:
             raise bad(f"'omega' entry {name!r}", spec,
                       f'an automaton file name or {{"builtin": one of {sorted(BUILTIN_AUTOMATA)}, '
@@ -259,16 +271,7 @@ def cmd_axioms(args) -> int:
         command=f"axioms {args.algebra}",
     )
     if args.format == "json":
-        doc = {
-            "command": report.command,
-            "seed": report.seed,
-            "cases": report.cases,
-            "failures": [
-                {"family": f.family, "law": f.law, "case": f.case, "lhs": f.lhs, "rhs": f.rhs}
-                for f in report.failures
-            ],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     else:
         print("\n".join(report.lines()))
     return 0 if report.ok else 1

@@ -62,10 +62,6 @@ class RankedAlphabet:
 
     symbols: dict[str, Obj]
 
-    @property
-    def sorts(self) -> frozenset[Sort]:
-        return frozenset(s for w in self.symbols.values() for s in w)
-
     def rank(self, name: str) -> Obj:
         try:
             return self.symbols[name]

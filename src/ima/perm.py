@@ -137,23 +137,17 @@ class PermSymbol:
 
     @cached_property
     def _flat(self) -> tuple[int, ...]:
-        n = len(self.blocks)
-        dom_off = [0] * n
-        for i in range(1, n):
-            dom_off[i] = dom_off[i - 1] + len(self.blocks[i - 1])
-        slot_of = [0] * n
-        for j, i in enumerate(self.pi):
-            slot_of[i] = j
-        cod_off = [0] * n
-        acc = 0
-        for j, i in enumerate(self.pi):
-            cod_off[j] = acc
-            acc += len(self.blocks[i])
-        out = [0] * acc
-        for i, block in enumerate(self.blocks):
-            base = cod_off[slot_of[i]]
-            for k in range(len(block)):
-                out[dom_off[i] + k] = base + k
+        # the blocks' source start offsets; one pass over the target slots
+        # then hands out target positions in order
+        start = [0]
+        for block in self.blocks:
+            start.append(start[-1] + len(block))
+        out = [0] * start[-1]
+        target = 0
+        for i in self.pi:
+            for k in range(start[i], start[i + 1]):
+                out[k] = target
+                target += 1
         return tuple(out)
 
     def __eq__(self, other):
@@ -211,9 +205,7 @@ def compose(r1: PermSymbol, r2: PermSymbol) -> PermSymbol:
 
 def tensor(r1: PermSymbol, r2: PermSymbol) -> PermSymbol:
     """Side-by-side juxtaposition; the second symbol's blocks are shifted."""
-    n1 = len(r1.blocks)
-    pi = r1.pi + tuple(n1 + i for i in r2.pi)
-    return PermSymbol._assemble(r1.blocks + r2.blocks, pi)
+    return tensor_all((r1, r2))
 
 
 def tensor_all(symbols: Sequence[PermSymbol]) -> PermSymbol:

@@ -118,7 +118,7 @@ def test_rel_equals_the_dense_reference(case):
     r, s = Rel.from_pairs(size, p), Rel.from_pairs(size, q)
     a, b = dense(size, p), dense(size, q)
     assert r.size == size and r.rows == a and s.rows == b
-    assert Rel.empty(size) == Rel.from_pairs(size, []) and Rel.empty(size).rows == (0,) * size
+    assert Rel(size, {}) == Rel.from_pairs(size, []) and Rel(size, {}).rows == (0,) * size
     assert r.pairs() == dense_pairs(a)
     assert any(r.rows) == (not r.is_empty()) and r.is_empty() == (not any(a))
     assert (r == s) == (a == b)

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,27 @@ def test_eval_machine_document_of_wrong_shape(machine_files, capsys, change, mes
     code, out, err = run(capsys, "eval", "--machine", str(machine_files / "bad.json"))
     assert code == 2 and not out
     assert err.startswith(f"error: machine file: {message}")
+
+
+def test_machine_builtin_is_checked_before_it_is_built(machine_files, capsys):
+    # a million-port switch takes far longer than a second and gigabytes
+    # to build, so both runs show that nothing was built for it
+    m = machine_files / "m.json"
+    _, expected, _ = run(capsys, "eval", "--machine", str(m))
+    doc = json.loads(m.read_text())
+    big = {"builtin": "alternating_switch", "n": 10**6}
+    none = {"builtin": "atomic_switch", "n": 0}
+    for omega, want in (({**doc["omega"], "unused": big}, (0, expected, "")),
+                        ({"c2": big}, (2, "", "error: automaton for 'c2' has arity 1000000, "
+                                              "vertex wants 2\n")),
+                        # an arity below 1 is refused even where no vertex wants it
+                        ({**doc["omega"], "unused": none},
+                         (2, "", "error: switch arity must be >= 1, got 0\n"))):
+        (machine_files / "big.json").write_text(json.dumps({**doc, "omega": omega}))
+        start = time.perf_counter()
+        got = run(capsys, "eval", "--machine", str(machine_files / "big.json"))
+        assert time.perf_counter() - start < 1.0
+        assert got == want
 
 
 def test_eval_machine_reads_list_data_as_its_automaton_files_do(machine_files, capsys):
@@ -771,16 +793,37 @@ FUZZ_COMMANDS = {
 }
 
 SMALL_VALUES_BY_TYPE = {
-    type(None): st.none(), bool: st.booleans(), int: st.integers(-1, 3),
-    float: st.sampled_from([0.5, -2.0]),
-    str: st.sampled_from(["", "x", "*", "1", "A", "c2", "path.graph"]),
-    list: st.just([]), dict: st.just({}),
+    type(None): [None], bool: [False, True], int: [-1, 0, 1, 2, 3], float: [0.5, -2.0],
+    str: ["", "x", "*", "1", "A", "c2", "path.graph"], list: [[]], dict: [{}],
 }
-SMALL_VALUES = st.one_of(*SMALL_VALUES_BY_TYPE.values())
+SMALL_VALUES = [value for values in SMALL_VALUES_BY_TYPE.values() for value in values]
 TOKENS = ["0", "1", "2", "7", "-1", "x", "A", "*", "->", ":", "()", "1.1", "in:1:1", "sym:c2",
           "sym:c2:11", "id(A)", "atom", "tr(A,", ")", "+", "."]
 BURY_DEPTHS = [600, 1100, 100_000]
 NESTINGS = ["({})", "tr((), {})", "id() + ({})", "({}) . id(A)", "tr(A, id(A) + ({}))"]
+PICK = st.integers(0, 255)
+
+
+def pick(options, k):
+    """``options[k]``, counted round: one drawn index fits every list."""
+    return options[k % len(options)]
+
+
+@st.composite
+def mutation_steps(draw, kinds):
+    """One to three steps, each a kind and four picks that the step reads
+    as indices into its own lists.  The choices do not depend on the file:
+    three steps are drawn whatever their count, each as five choices.
+    Hypothesis also tries examples made by copying the choices of one draw
+    over another draw of the same strategy, and a copy after which more
+    choices were read would run out of them and count as invalid.  No
+    ``st.tuples``: Hypothesis explains a failure by varying each tuple
+    element on its own, a hundred failing runs for every pick that the
+    failing steps do not read."""
+    count = draw(st.integers(1, 3))
+    steps = [(draw(st.sampled_from(kinds)), draw(PICK), draw(PICK), draw(PICK), draw(PICK))
+             for _ in range(3)]
+    return steps[:count]
 
 
 def _json_paths(doc, path=()):
@@ -800,10 +843,10 @@ def _json_at(doc, path):
 def mutated_json(draw, doc):
     doc = copy.deepcopy(doc)
     buried = []
-    for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_json_paths(doc))))
+    kinds = ["drop", "retype", "wrap", "resize", "repeat", "bury"]
+    for kind, where, a, b, _ in draw(mutation_steps(kinds)):
+        path = pick(list(_json_paths(doc)), where)
         node = _json_at(doc, path)
-        kind = draw(st.sampled_from(["drop", "retype", "wrap", "resize", "repeat", "bury"]))
         if kind == "drop" and path:
             del _json_at(doc, path[:-1])[path[-1]]
             continue
@@ -811,15 +854,14 @@ def mutated_json(draw, doc):
             # a marker now, spliced into the text at the end: a value
             # nested n deep would make this test recurse as deep
             new = f"buried {len(buried)}"
-            buried.append((new, draw(st.sampled_from(BURY_DEPTHS)), json.dumps(node)))
+            buried.append((new, pick(BURY_DEPTHS, a), json.dumps(node)))
         elif kind == "retype":
-            # from the other types only: a filter would discard the draws of the old one
-            new = draw(st.one_of(*(values for cls, values in SMALL_VALUES_BY_TYPE.items()
-                                   if cls is not type(node))))
+            other = pick([cls for cls in SMALL_VALUES_BY_TYPE if cls is not type(node)], a)
+            new = pick(SMALL_VALUES_BY_TYPE[other], b)
         elif kind == "resize" and isinstance(node, list):
-            new = node[:-1] if node and draw(st.booleans()) else node + [draw(SMALL_VALUES)]
+            new = node[:-1] if node and a % 2 else node + [pick(SMALL_VALUES, b)]
         elif kind == "repeat" and isinstance(node, list) and node:
-            i = draw(st.integers(0, len(node) - 1))
+            i = a % len(node)
             new = node[: i + 1] + [copy.deepcopy(node[i])] + node[i + 1 :]
         else:
             new = [node]
@@ -837,14 +879,13 @@ def mutated_json(draw, doc):
 def mutated_text(draw, text, term=False):
     lines = text.splitlines()
     kinds = ["drop", "repeat", "retype", "shorten", "lengthen"] + (["nest"] * 2 if term else [])
-    for _ in range(draw(st.integers(1, 3))):
+    for kind, i, j, a, b in draw(mutation_steps(kinds)):
         if not lines:
-            lines = [draw(st.sampled_from(TOKENS))]
+            lines = [pick(TOKENS, a)]
             continue
-        i = draw(st.integers(0, len(lines) - 1))
+        i %= len(lines)
         tokens = lines[i].split() or [""]
-        j = draw(st.integers(0, len(tokens) - 1))
-        kind = draw(st.sampled_from(kinds))
+        j %= len(tokens)
         if kind == "drop":
             del lines[i]
             continue
@@ -854,15 +895,14 @@ def mutated_text(draw, text, term=False):
         if kind == "retype":
             # one piece of a token, as in the 1.1 of an edge end or the sym of sym:c2
             pieces = re.split(r"([.:])", tokens[j])
-            k = draw(st.sampled_from(range(0, len(pieces), 2)))
-            pieces[k] = draw(st.sampled_from(TOKENS))
+            pieces[pick(range(0, len(pieces), 2), a)] = pick(TOKENS, b)
             tokens[j] = "".join(pieces)
         elif kind == "shorten":
             del tokens[j]
         elif kind == "lengthen":
-            tokens.insert(j, draw(st.sampled_from(TOKENS + [tokens[j]])))
+            tokens.insert(j, pick(TOKENS + [tokens[j]], a))
         else:
-            tokens = [draw(st.sampled_from(NESTINGS)).format(" ".join(tokens))]
+            tokens = [pick(NESTINGS, a).format(" ".join(tokens))]
         lines[i] = " ".join(tokens)
     return "\n".join(lines) + "\n"
 

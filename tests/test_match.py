@@ -472,6 +472,27 @@ def ladder_copies(k: int, length: int) -> SigmaGraph:
     return SigmaGraph(vertices, edges)
 
 
+def mobius_ladder(length: int) -> SigmaGraph:
+    """The Möbius ladder of ``length`` rungs ``rung : AAB``, ports as in
+    :func:`ladder_copies`: one ring of ``2 * length`` rungs whose B ports
+    join opposite rungs."""
+    rung = SymbolLabel("rung", Obj.parse("AAB"))
+    ring = 2 * length
+    edges = [{(i, 1), ((i + 1) % ring, 0)} for i in range(ring)]
+    edges += [{(i, 2), (length + i, 2)} for i in range(length)]
+    return SigmaGraph(dict.fromkeys(range(ring), rung), edges)
+
+
+def test_circular_and_mobius_ladders_differ():
+    # both are cubic and colour refinement leaves every rung in one cell,
+    # so the search must give up each branch it opens and backtrack
+    for length in (3, 4, 6):
+        g, h = ladder_copies(1, length), mobius_ladder(length)
+        assert reference_isomorphic(g, h) is False
+        assert isomorphic(g, h) is False
+        assert isomorphic(h, g) is False
+
+
 def shape(g: SigmaGraph):
     """Sorted component sizes and sorted (port, port) edge types of a
     graph whose vertices share one symbol."""

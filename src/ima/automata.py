@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .errors import InvalidArity, RankMismatch
 from .match import find_bijection
-from .perm import Obj, PermSymbol, Sort
+from .perm import DEFAULT_SORT, Obj, PermSymbol
 
 ANCHOR = "*"
 Pos = int | str
@@ -330,7 +330,7 @@ def is_deterministic(t: TuringAutomaton) -> bool:
     return all(row & (row - 1) == 0 for rel in t.table.values() for row in rel.succ.values())
 
 
-def atomic_switch(n: int, sort: Sort = Sort("1")) -> TuringAutomaton:
+def atomic_switch(n: int) -> TuringAutomaton:
     """The n-port switch with one selected (positive) port per state.
 
     Entering a non-selected port exits at the selected one and moves the
@@ -353,7 +353,7 @@ def atomic_switch(n: int, sort: Sort = Sort("1")) -> TuringAutomaton:
     if n == 1:
         delta.add(((1, 1), (1, 1)))
     return TuringAutomaton(
-        Obj(tuple(sort for _ in range(n))),
+        Obj((DEFAULT_SORT,) * n),
         frozenset(range(1, n + 1)),
         frozenset(delta),
     )

@@ -128,6 +128,24 @@ class DFlowAlgebra:
         )
 
 
+def flow_automaton(data: Sequence, word: Obj, states, clauses) -> DFlowAutomaton:
+    """The data-flow automaton over ``data`` and port word ``word`` with
+    transitions ``((q, x), (r, y))`` read from ``clauses``, each position
+    ``x``, ``y`` the anchor or a ``(datum, port)`` pair."""
+    data = tuple(data)
+    k = len(data)
+
+    def pos(x):
+        if x == ANCHOR:
+            return x
+        d, port = x
+        return position_of(port, data.index(d), k)
+
+    delta = frozenset(((q, pos(x)), (r, pos(y))) for (q, x), (r, y) in clauses)
+    base = TuringAutomaton(expand_word(word, k), frozenset(states), delta)
+    return DFlowAutomaton(data, word, base)
+
+
 def alternating_switch(n: int, sort: Sort = DEFAULT_SORT) -> DFlowAutomaton:
     """The n-port switch passing one bit: a negative (non-selected) port
     accepts 0 and the selected port emits 1, and the other way around.
@@ -135,37 +153,25 @@ def alternating_switch(n: int, sort: Sort = DEFAULT_SORT) -> DFlowAutomaton:
     any port.  For n = 1 the single port bounces 1 into 0."""
     if n < 1:
         raise InvalidArity(f"switch arity must be >= 1, got {n}")
-    data = (0, 1)
-    k = 2
-
-    def pos(d, j):
-        return position_of(j, d, k)
-
     delta = set()
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                delta.add(((i, pos(0, j)), (j, pos(1, i))))
-                delta.add(((i, pos(1, i)), (j, pos(0, j))))
-        for j in range(1, n + 1):
+                delta.add(((i, (0, j)), (j, (1, i))))
+                delta.add(((i, (1, i)), (j, (0, j))))
             for d in (0, 1):
-                delta.add(((i, ANCHOR), (i, pos(d, j))))
-                delta.add(((i, pos(d, j)), (i, ANCHOR)))
+                delta.add(((i, ANCHOR), (i, (d, j))))
+                delta.add(((i, (d, j)), (i, ANCHOR)))
         delta.add(((i, ANCHOR), (i, ANCHOR)))
     if n == 1:
-        delta.add(((1, pos(1, 1)), (1, pos(0, 1))))
-    base = TuringAutomaton(
-        expand_word(Obj(tuple(sort for _ in range(n))), k),
-        frozenset(range(1, n + 1)),
-        frozenset(delta),
-    )
-    return DFlowAutomaton(data, Obj(tuple(sort for _ in range(n))), base)
+        delta.add(((1, (1, 1)), (1, (0, 1))))
+    return flow_automaton((0, 1), Obj((sort,) * n), range(1, n + 1), delta)
 
 
-def atomic_switch_dflow(n: int, sort: Sort = DEFAULT_SORT) -> DFlowAutomaton:
+def atomic_switch_dflow(n: int) -> DFlowAutomaton:
     """The plain n-port switch viewed as a data-flow automaton over a
     single dummy datum."""
-    base = atomic_switch(n, sort)
+    base = atomic_switch(n)
     return DFlowAutomaton((0,), base.iface, base)
 
 
@@ -286,15 +292,16 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
                     f"malformed automaton file: port {port} outside port word "
                     f"{str(word)!r} of length {len(word)}"
                 )
-            return position_of(port, data.index(d), len(data))
+            return d, port
 
         quads = array("transitions")
         for quad in quads:
             if not (isinstance(quad, tuple) and len(quad) == 4):
                 raise refuse("transition", quad, "an array of four")
-        delta = frozenset(((q, pos(x)), (r, pos(y))) for q, x, r, y in quads)
-        base = TuringAutomaton(expand_word(word, len(data)) if flow else word, states, delta)
-        return DFlowAutomaton(data, word, base) if flow else base
+        clauses = (((q, pos(x)), (r, pos(y))) for q, x, r, y in quads)
+        if flow:
+            return flow_automaton(data, word, states, clauses)
+        return TuringAutomaton(word, states, frozenset(clauses))
     except TypeError as err:
         raise ValueError(f"malformed automaton file: {err}") from None
     except KeyError as err:
@@ -548,10 +555,6 @@ def step(m: GraphMachine, c: Config) -> set[Config]:
     return {ix.config(c2) for c2 in ix.successors(code)}
 
 
-def _is_terminal(c: Config) -> bool:
-    return c.locus[0] in ("iface", "anchor")
-
-
 def _target_locus(m: GraphMachine, to) -> tuple:
     """The locus at which walks to endpoint ``to`` end."""
     if to == ANCHOR:
@@ -588,45 +591,20 @@ def enumerate_walks(
     return out
 
 
-def _reachable_exits(start, successors, terminal) -> set:
-    """Terminal configurations reachable from ``start`` in one or more
-    steps (the start itself counts only when re-reached): one
-    breadth-first search over ``successors``, stopping at each
-    configuration ``terminal`` accepts."""
-    frontier = [start]
-    seen = set()
-    exits = set()
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for c2 in successors(c):
-                if terminal(c2):
-                    exits.add(c2)
-                elif c2 not in seen:
-                    seen.add(c2)
-                    nxt.append(c2)
-        frontier = nxt
-    return exits
-
-
 def _start_configs(m: GraphMachine, local: Mapping[int, object], frm) -> list[Config]:
     if frm == ANCHOR:
         return [Config.make(local, _AT_ANCHOR, None)]
     return [Config.make(local, ("iface", frm), d) for d in m.data]
 
 
-def walks(
-    m: GraphMachine,
-    start_local: Mapping[int, object],
-    frm,
-    to,
-) -> set:
+def walks(m: GraphMachine, start_local: Mapping[int, object], frm, to) -> set:
     """All behavior pairs from interface-or-anchor ``frm`` to ``to``.
 
     Returns transitions in the shape of the evaluated automaton: pairs
     ``((packed_start, x), (packed_final, y))`` where x, y are base
     positions of the machine automaton (or the anchor).  A walk is a
-    nonempty chain of steps ending at a terminal locus.
+    nonempty chain of steps ending at a terminal locus, an interface or
+    the anchor; each start is searched breadth-first through :func:`step`.
     """
     target = _target_locus(m, to)
     ix = m.step_index
@@ -639,9 +617,18 @@ def walks(
 
     out = set()
     for s0 in _start_configs(m, start_local, frm):
-        for c2 in _reachable_exits(s0, lambda c: step(m, c), _is_terminal):
-            if c2.locus == target:
-                out.add((end(s0), end(c2)))
+        frontier, seen, exits = [s0], set(), set()
+        while frontier:
+            nxt = []
+            for c in frontier:
+                for c2 in step(m, c):
+                    if c2.locus[0] != "port":
+                        exits.add(c2)
+                    elif c2 not in seen:
+                        seen.add(c2)
+                        nxt.append(c2)
+            frontier = nxt
+        out |= {(end(s0), end(c2)) for c2 in exits if c2.locus == target}
     return out
 
 
@@ -742,52 +729,43 @@ def run_tm(spec: TMSpec, tape: Sequence, max_steps: int = 10_000):
     raise InvalidSpec("machine did not halt within the step bound")
 
 
-def cell_automaton(spec: TMSpec, sort: Sort = DEFAULT_SORT) -> DFlowAutomaton:
+def cell_automaton(spec: TMSpec) -> DFlowAutomaton:
     """One tape cell as a data-flow automaton: local states are tape
     symbols, data are machine states.  A rule writing g' and moving right
     sends the new machine state out the right port (and the cell reacts
     the same whichever side the head came from); halting states are routed
     out the left port unchanged."""
-    data = tuple(spec.states)
-    k = len(data)
-
-    def pos(s, j):
-        return position_of(j, data.index(s), k)
-
     delta = set()
     for (s, g), (s2, g2, move) in spec.rules.items():
         target = 2 if move == "R" else 1
         for entry in (1, 2):
-            delta.add(((g, pos(s, entry)), (g2, pos(s2, target))))
+            delta.add(((g, (s, entry)), (g2, (s2, target))))
     for h in spec.halting:
         for g in spec.tape_alphabet:
             for entry in (1, 2):
-                delta.add(((g, pos(h, entry)), (g, pos(h, 1))))
-    word = Obj((sort, sort))
-    base = TuringAutomaton(
-        expand_word(word, k), frozenset(spec.tape_alphabet), frozenset(delta)
-    )
-    return DFlowAutomaton(data, word, base)
+                delta.add(((g, (h, entry)), (g, (h, 1))))
+    word = Obj((DEFAULT_SORT, DEFAULT_SORT))
+    return flow_automaton(spec.states, word, spec.tape_alphabet, delta)
 
 
-def tm_encode(spec: TMSpec, tape_len: int, sort: Sort = DEFAULT_SORT) -> GraphMachine:
+def tm_encode(spec: TMSpec, tape_len: int) -> GraphMachine:
     """A linear array of ``tape_len`` cells; the left end is interface 1,
     the right end interface 2."""
     if tape_len < 1:
         raise InvalidSpec("tape length must be >= 1")
     vertices: dict[int, object] = {}
     edges = []
-    cell_rank = Obj((sort, sort))
+    cell_rank = Obj((DEFAULT_SORT, DEFAULT_SORT))
     for i in range(tape_len):
         vertices[i] = SymbolLabel("cell", cell_rank)
-    vertices[tape_len] = InterfaceLabel(1, sort)
-    vertices[tape_len + 1] = InterfaceLabel(2, sort)
+    vertices[tape_len] = InterfaceLabel(1, DEFAULT_SORT)
+    vertices[tape_len + 1] = InterfaceLabel(2, DEFAULT_SORT)
     edges.append({(tape_len, 0), (0, 0)})
     for i in range(tape_len - 1):
         edges.append({(i, 1), (i + 1, 0)})
     edges.append({(tape_len - 1, 1), (tape_len + 1, 0)})
     graph = SigmaGraph(vertices, edges)
-    return GraphMachine(graph, tuple(spec.states), {"cell": cell_automaton(spec, sort)})
+    return GraphMachine(graph, tuple(spec.states), {"cell": cell_automaton(spec)})
 
 
 def reverse_machine(m: GraphMachine) -> GraphMachine:

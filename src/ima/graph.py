@@ -20,12 +20,9 @@ from dataclasses import dataclass
 from . import perm
 from .errors import ImaError, RankMismatch, UnknownSymbol
 from .match import find_bijection
-from .perm import Obj, PermSymbol, Sort
+from .perm import DEFAULT_SORT, Obj, PermSymbol, Sort
 
 Port = tuple[int, int]  # (vertex id, 0-based port index)
-
-# the canonical sort of single-sorted graphs (machines, solitons)
-DEFAULT_SORT = Sort("1")
 
 
 @dataclass(frozen=True)

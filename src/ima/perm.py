@@ -35,6 +35,10 @@ class Sort:
         return f"Sort({self.name!r})"
 
 
+# the canonical sort of single-sorted graphs (machines, solitons)
+DEFAULT_SORT = Sort("1")
+
+
 @dataclass(frozen=True)
 class Obj:
     """A word of sorts; the unit object is the empty word."""

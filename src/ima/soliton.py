@@ -51,7 +51,8 @@ def make_presoliton(g: SigmaGraph) -> PreSolitonAutomaton:
         n = len(lab.rank)
         if lab.name != f"c{n}":
             raise BadLabel(f"vertex {vid} labeled {lab.name!r}, want c{n}")
-        omega[f"c{n}"] = alternating_switch(n, sort)
+        if lab.name not in omega:
+            omega[lab.name] = alternating_switch(n, sort)
     machine = GraphMachine(g, (0, 1), omega)
     return PreSolitonAutomaton(g, machine)
 

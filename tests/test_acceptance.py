@@ -20,13 +20,10 @@ from ima.dflow import (
     position_of,
     reverse_machine,
     run_tm,
-    step,
     tm_encode,
     unary_increment_tm,
     walk_closure,
-    _is_terminal,
-    _reachable_exits,
-    _start_configs,
+    walks,
 )
 from ima.graph import LoopLabel, identity_graph, trace
 from ima.laws import random_automaton, random_graph, random_obj, random_symbol_on
@@ -223,28 +220,20 @@ def test_criterion_7_soliton_sweep():
         for g in connected_port_graphs(max_internal=4, max_iface=2, max_degree=4):
             p = sol.make_presoliton(g)
             m = p.machine
-            cache = {}
-
-            def stepper(c):
-                if c not in cache:
-                    cache[c] = step(m, c)
-                return cache[c]
-
+            # each global state name back to its selected ports
+            chosen = {pack_state(m, {v: port + 1 for v, port in q.items()}): q
+                      for q in sol.states_of(p)}
             ifaces = sorted(g.interface_vertices())
             graphs += 1
             for q in sol.enumerate_pims(p):
                 local = {v: port + 1 for v, port in q.items()}
                 for i in ifaces:
-                    for s0 in _start_configs(m, local, i):
-                        for c2 in _reachable_exits(s0, stepper, _is_terminal):
-                            if c2.locus[0] == "iface":
-                                final = {v: s - 1 for v, s in c2.local_map().items()}
-                                assert sol.is_pim(p, final)
-                                walks_seen += 1
+                    for j in ifaces:
+                        for _, (state, _) in walks(m, local, i, j):
+                            assert sol.is_pim(p, chosen[state])
+                            walks_seen += 1
                 if not ifaces:
-                    for s0 in _start_configs(m, local, ANCHOR):
-                        for c2 in _reachable_exits(s0, stepper, _is_terminal):
-                            assert c2.locus == ("anchor",)
+                    assert walks(m, local, ANCHOR, ANCHOR)
         assert graphs > 700 and walks_seen > 5000
         elapsed = time.time() - start
         assert elapsed < 300, f"sweep took {elapsed:.1f}s"
@@ -258,10 +247,7 @@ def test_criterion_7_anchor_exits_on_open_graphs():
     p = sol.make_presoliton(g)
     m = p.machine
     local = {v: 1 for v in m.graph.internal_vertices()}
-    exits = set()
-    for s0 in _start_configs(m, local, ANCHOR):
-        exits |= {c.locus[0] for c in _reachable_exits(s0, lambda c: step(m, c), _is_terminal)}
-    assert "iface" in exits
+    assert walks(m, local, ANCHOR, 1)
 
 
 # -- 8: Turing machine encoding ---------------------------------------------------------------

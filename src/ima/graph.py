@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from . import perm
 from .errors import ImaError, RankMismatch, UnknownSymbol
-from .match import find_bijection
 from .perm import DEFAULT_SORT, Obj, PermSymbol, Sort
 
 Port = tuple[int, int]  # (vertex id, 0-based port index)
@@ -300,15 +299,83 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
 
 
 def isomorphic(g1: SigmaGraph, g2: SigmaGraph) -> bool:
-    """Label-, port-order-, sort- and serial-preserving isomorphism: a
-    bijection of the graphs as stored, each vertex a node coloured by its
-    label and each partner-map entry ``(v, i) -> (w, j)`` an edge
-    ``(v, (i, j), w)``.  An interface label carries its serial and sort,
-    so the matcher pins interfaces, and with them the rank word and the
-    interface-to-interface wires; loop vertices are isolated nodes."""
-    def edges(g):
-        return [(v, (i, j), w) for (v, i), (w, j) in g._partner.items()]
-    return find_bijection(g1.vertices, edges(g1), g2.vertices, edges(g2)) is not None
+    """Label-, port-order-, sort- and serial-preserving isomorphism.
+
+    Ports are ordered and each has one partner, so once a vertex's image
+    is fixed, its whole component follows: port ``i`` of ``v`` must land
+    on port ``i`` of ``v``'s image, with the same partner port index
+    (Weinberg 1966, for embedded graphs).  Interface ``k`` of ``g1`` maps
+    to interface ``k`` of ``g2``, since labels carry the serial, and that
+    pins every component with an interface.  A component without one (a
+    closed component, a loop vertex, a symbol without ports) is matched
+    by trying its first vertex against each free ``g2`` vertex of the
+    same label in turn, undoing each failed try.  The first try that
+    succeeds is kept: it maps the component onto a whole isomorphic
+    component of ``g2``, and isomorphic components are interchangeable.
+
+    Linear when every component has an interface.  A closed component of
+    ``n`` vertices may fail at up to ``n`` tries of up to ``n`` vertices
+    each, so the worst case, one circular ladder against one Möbius
+    ladder, is quadratic."""
+    lab1, lab2 = g1.vertices, g2.vertices
+    p1, p2 = g1._partner, g2._partner
+    if len(lab1) != len(lab2) or len(p1) != len(p2) or len(g1._ifaces) != len(g2._ifaces):
+        return False
+    image: dict[int, int] = {}
+    taken: set[int] = set()
+
+    def follow(v: int, w: int, added: list[int]) -> bool:
+        """Map ``v`` to ``w`` and every vertex the ports reach from ``v``
+        to the vertex the same ports reach from ``w``, appending each newly
+        mapped vertex to ``added``; ``False`` at the first conflict."""
+        pairs = [(v, w)]
+        while pairs:
+            x, y = pairs.pop()
+            if x in image:
+                if image[x] != y:
+                    return False
+                continue
+            label = lab1[x]
+            if y in taken or label != lab2[y]:
+                return False
+            image[x] = y
+            taken.add(y)
+            added.append(x)
+            for i in range(len(label_ports(label))):
+                (a, j), (b, k) = p1[x, i], p2[y, i]
+                if j != k:
+                    return False
+                pairs.append((a, b))
+        return True
+
+    for v, w in zip(g1._ifaces, g2._ifaces):
+        if not follow(v, w, []):
+            return False
+    if len(image) == len(lab1):
+        return True
+    free: dict[Label, list[int]] = {}
+    for w, label in lab2.items():
+        if w not in taken:
+            free.setdefault(label, []).append(w)
+    for v, label in lab1.items():
+        if v in image:
+            continue
+        # A failed try is undone, so a taken vertex stays taken and can be
+        # dropped from the end of the list.
+        ws = free.get(label, [])
+        while ws and ws[-1] in taken:
+            ws.pop()
+        for w in reversed(ws):
+            if w in taken:
+                continue
+            added: list[int] = []
+            if follow(v, w, added):
+                break
+            for x in added:
+                taken.discard(image.pop(x))
+        else:
+            return False
+    return True
 
 
 # -- decomposition into a term ----------------------------------------------

@@ -1,8 +1,13 @@
 """Colour-preserving bijections that carry one set of labelled edges onto
 another.
 
-Graph isomorphism and equality of automata up to a state bijection are
-both this question.  The input colours are refined on the disjoint union
+Equality of automata up to a state bijection is this question: states
+are nodes, and each transition is an edge labelled by its entry and exit
+positions.  States have no port order to follow, so their bijection must
+be searched for; graph isomorphism needs no search, since ordered ports
+fix a component from one vertex (``graph.isomorphic``).
+
+The input colours are refined on the disjoint union
 of the two sides to the coarsest equitable partition: one in which any
 two nodes of a cell have the same multiset of (direction, label) edges
 into every cell.  Refinement pops splitter cells from a queue, visits
@@ -14,8 +19,8 @@ splitters, so refining m edges sets O(m log n) marks.  Then the two
 sides must have the same connected components, each counted by its size
 and the histogram of its refined colours: refinement cannot see
 component sizes, and without this check the search would try every
-branch of, say, four ladders against two ladders and one of twice the
-length.
+branch of, say, an automaton whose states form four 2-cycles under one
+entry and exit against one whose states form two 2-cycles and a 4-cycle.
 
 The search individualises and refines, as nauty and bliss do (McKay &
 Piperno 2014; Junttila & Kaski 2007): it maps one node of the smallest
@@ -101,7 +106,9 @@ def same_components(n1: int, color: list[int], edges: Iterable[tuple[int, int, i
     colours ``color``.  A bijection that carries the edges across maps
     components onto components, and refined colours onto themselves, so
     sides that differ here have none; colour refinement alone cannot
-    count component sizes.  Components are found by union-find over
+    count component sizes: states that form four 2-cycles under one
+    transition label and states that form two 2-cycles and a 4-cycle all
+    keep one colour.  Components are found by union-find over
     ``edges``, which join nodes of one side each."""
     parent = list(range(len(color)))
 

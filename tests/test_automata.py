@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -318,6 +319,83 @@ def test_determinism():
         frozenset({((0, 1), (0, 2)), ((0, 1), (1, 2))}),
     )
     assert not is_deterministic(nd)
+
+
+# -- partial functions and partial injections: closed sub-algebras ----------------------------
+#
+# Partial functions on (state, position) pairs are traced over disjoint
+# union (Joyal, Street & Verity 1996; Abramsky, Haghverdi & Scott 2002),
+# and so are partial injections, the reversible devices.  Both summands
+# of a sum can take control entered at the anchor, so the classes below
+# leave the anchor out where a sum would otherwise offer a choice.
+
+def successor_counts(t):
+    return Counter(source for source, _ in t.delta)
+
+
+def is_partial_function(t):
+    """At most one transition from each (state, position) pair, the anchor
+    included."""
+    return all(k == 1 for k in successor_counts(t).values())
+
+
+def is_partial_injection(t):
+    return is_partial_function(t) and is_partial_function(reverse(t))
+
+
+def random_partial(rng, w, injective):
+    """A random partial function on the (state, position) pairs of ``w``
+    that is never entered at the anchor; a partial injection that never
+    touches the anchor when ``injective``."""
+    q = rng.randint(1, 3)
+    ports = [(s, x) for s in range(q) for x in range(1, len(w) + 1)]
+    targets = ports + ([] if injective else [(s, ANCHOR) for s in range(q)])
+    rng.shuffle(targets)
+    density = rng.random()
+    delta = set()
+    for source in ports:
+        if targets and rng.random() < density:
+            delta.add((source, targets.pop() if injective else rng.choice(targets)))
+    return TuringAutomaton(w, range(q), delta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_partial_functions_and_injections_are_closed(seed, injective):
+    rng = random.Random(seed)
+    in_class = is_partial_injection if injective else is_partial_function
+    v = laws.random_obj(rng, 2)
+    a = random_partial(rng, v + v + laws.random_obj(rng, 2), injective)
+    b = random_partial(rng, laws.random_obj(rng, 3), injective)
+    assert in_class(a) and in_class(b)
+    got = sum_automata(a, b)
+    assert in_class(got)
+    got = reindex_automaton(got, laws.random_symbol_on(rng, got.iface))
+    assert in_class(got)
+    assert in_class(trace_automaton(a, v))
+    assert in_class(trace_automaton(sum_automata(a, identity_automaton(v)), v))
+
+
+def test_anchor_entries_of_both_summands_offer_a_choice():
+    # why the classes above are never entered at the anchor
+    enters = TuringAutomaton(A, {0}, {((0, ANCHOR), (0, 1))})
+    assert is_partial_injection(enters)
+    got = sum_automata(enters, enters)
+    assert successor_counts(got)[((0, 0), ANCHOR)] == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reverse_commutes_with_every_operation(seed):
+    rng = random.Random(seed)
+    v = laws.random_obj(rng, 2)
+    w = v + v + laws.random_obj(rng, 2)
+    for a, b in ((laws.random_automaton(rng, w), laws.random_automaton(rng, laws.random_obj(rng, 3))),
+                 (random_partial(rng, w, False), random_partial(rng, v, True))):
+        assert reverse(sum_automata(a, b)) == sum_automata(reverse(a), reverse(b))
+        rho = laws.random_symbol_on(rng, w)
+        assert reverse(reindex_automaton(a, rho)) == reindex_automaton(reverse(a), rho)
+        assert reverse(trace_automaton(a, v)) == trace_automaton(reverse(a), v)
 
 
 def brute_force_trace(t, n):

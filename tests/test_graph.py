@@ -519,8 +519,8 @@ F_AND_K = sum_graphs(atom(ALPHABET, "f"), atom(ALPHABET, "k"))
          "interfaces-of-other-sorts", "empty", "empty-sum-and-trace"],
 )
 def test_isomorphic_tells_counts_apart_by_labels(g1, g2, verdict):
-    # isomorphic takes no count of vertices, edges, loops or interfaces:
-    # the matcher's label cells must decide these
+    # isomorphic counts vertices, ports and interfaces but not loops or
+    # labels: the labels compared as it maps vertices must decide the rest
     assert isomorphic(g1, g2) == verdict
     assert isomorphic(g2, g1) == verdict
 

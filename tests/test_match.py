@@ -1,8 +1,11 @@
-"""Differential tests of the bijection search behind ``graph.isomorphic``
-and ``automata.equivalent_automata`` against independent references:
-networkx VF2++ on port-labelled graphs, a brute-force search over all
-state permutations, and the round-based colour refinement the splitter
-queue replaced."""
+"""Differential tests of ``graph.isomorphic`` and of the bijection search
+``match.find_bijection`` behind ``automata.equivalent_automata`` against
+independent references: networkx VF2++ on port-labelled graphs, a
+brute-force search over all state permutations, and the round-based
+colour refinement the splitter queue replaced.  The search still runs on
+graphs, encoded as coloured, labelled edges, so that tapes and
+edge-swapped graphs exercise its refinement, and its verdict there must
+be ``isomorphic``'s."""
 
 import gc
 import itertools
@@ -16,6 +19,7 @@ from pathlib import Path
 from unittest import mock
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import ima
@@ -29,13 +33,18 @@ from ima.automata import (
 )
 from ima.graph import (
     InterfaceLabel,
+    RankedAlphabet,
     SigmaGraph,
     SymbolLabel,
+    atom,
+    identity_graph,
     isomorphic,
     label_ports,
+    reindex,
     sum_graphs,
+    trace,
 )
-from ima.perm import Obj
+from ima.perm import UNIT, Obj, from_positions
 from sweeps import shuffled, tape_graph
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -70,15 +79,19 @@ def reference_isomorphic(g1: SigmaGraph, g2: SigmaGraph) -> bool:
     return nx.vf2pp_is_isomorphic(h1, h2, node_label="label")
 
 
+def summed(parts: list[SigmaGraph]) -> SigmaGraph:
+    g = parts[0]
+    for h in parts[1:]:
+        g = sum_graphs(g, h)
+    return g
+
+
 def random_graph(rng: random.Random) -> SigmaGraph:
     """A sum of random graphs; repeated summands, closed ones especially,
     leave classes of alike vertices for the search to split."""
     parts = [laws.random_graph(rng, laws.random_obj(rng, 3)) for _ in range(rng.randint(1, 3))]
     parts += parts[: rng.randint(0, len(parts))]
-    g = parts[0]
-    for h in parts[1:]:
-        g = sum_graphs(g, h)
-    return g
+    return summed(parts)
 
 
 def edge_swapped(g: SigmaGraph, rng: random.Random) -> SigmaGraph | None:
@@ -316,18 +329,32 @@ def drawn_pairs(rng: random.Random, max_states: int):
     return graphs, automata
 
 
+def encoded(g: SigmaGraph):
+    """``g`` as the search's colours and edges: each vertex a node
+    coloured by its label, each partner entry ``(v, i) -> (w, j)`` an edge
+    ``(v, (i, j), w)``.  An interface label carries its serial and sort, so
+    refinement pins interfaces; loop vertices are isolated nodes."""
+    return g.vertices, [(v, (i, j), w) for v in g.vertices for i in range(len(g.ports_of(v)))
+                        for w, j in [g.partner((v, i))]]
+
+
+def encoded_isomorphic(g: SigmaGraph, h: SigmaGraph, matcher=match.find_bijection) -> bool:
+    return matcher(*encoded(g), *encoded(h)) is not None
+
+
 def matched_with(matcher, graphs, automata):
-    """``isomorphic`` of each graph pair and ``equivalent_automata`` of each
-    automaton pair, with ``matcher`` in place of ``find_bijection``.  The
-    matcher must be called for automata exactly when some pair is settled
-    neither by its interfaces and state counts nor by equal tables."""
-    with mock.patch("ima.graph.find_bijection", wraps=matcher) as in_graph, \
-            mock.patch("ima.automata.find_bijection", wraps=matcher) as in_automata:
-        results = ([isomorphic(g, h) for g, h in graphs],
-                   [equivalent_automata(t, u) for t, u in automata])
+    """``matcher`` on each graph pair, encoded, and ``equivalent_automata``
+    of each automaton pair with ``matcher`` in place of ``find_bijection``.
+    The encoded verdicts must be ``isomorphic``'s.  The matcher must be
+    called for automata exactly when some pair is settled neither by its
+    interfaces and state counts nor by equal tables."""
+    verdicts = [encoded_isomorphic(g, h, matcher) for g, h in graphs]
+    assert verdicts == [isomorphic(g, h) for g, h in graphs]
+    with mock.patch("ima.automata.find_bijection", wraps=matcher) as in_automata:
+        results = (verdicts, [equivalent_automata(t, u) for t, u in automata])
     searched = any(t.iface == u.iface and len(t.names) == len(u.names) and t.table != u.table
                    for t, u in automata)
-    assert in_graph.called and in_automata.called == searched
+    assert in_automata.called == searched
     return results
 
 
@@ -546,3 +573,175 @@ def test_swapped_ladders_are_rejected_fast():
             best = min(best, time.perf_counter() - start)
         assert best < 0.05, (seed, best)
     assert sizes[(16, 16, 32)] > 0
+
+
+# -- components with and without interfaces ---------------------------------------
+
+
+def cycle_copies(k: int, length: int) -> SigmaGraph:
+    """``k`` disjoint closed rings of ``length`` cells ``cell : AA``, each
+    cell's port 2 joined to the next cell's port 1."""
+    cell = SymbolLabel("cell", Obj.parse("AA"))
+    return SigmaGraph(dict.fromkeys(range(k * length), cell),
+                      [{(c * length + i, 1), (c * length + (i + 1) % length, 0)}
+                       for c in range(k) for i in range(length)])
+
+
+def marked_ring(length: int, mark: int = 0) -> SigmaGraph:
+    """A closed ring as in :func:`cycle_copies` whose cell ``mark`` is a
+    ``mark : AA``: of the ring's cells, a cell of another copy can map
+    onto one alone, so trying them in turn fails at all but one."""
+    g = cycle_copies(1, length)
+    return SigmaGraph({**g.vertices, mark: SymbolLabel("mark", Obj.parse("AA"))}, g.edges)
+
+
+def closed_part(rng: random.Random) -> tuple[SigmaGraph, SigmaGraph]:
+    """A component without an interface and a twin with the same labels
+    that need not be isomorphic to it: a circular ladder and a Möbius
+    ladder, a ring of cells and two rings as long together, two rings
+    marked at different cells."""
+    n = rng.randint(1, 3)
+    a = rng.randint(1, max(1, n - 1))
+    pairs = [(ladder_copies(1, n), mobius_ladder(n)), (mobius_ladder(n), ladder_copies(1, n)),
+             (cycle_copies(1, 2 * n), sum_graphs(cycle_copies(1, a), cycle_copies(1, 2 * n - a))),
+             (marked_ring(n + 1, rng.randint(0, n)), marked_ring(n + 1, rng.randint(0, n)))]
+    return rng.choice(pairs)
+
+
+def mixed_parts(rng: random.Random) -> tuple[list[SigmaGraph], list[SigmaGraph]]:
+    """Summands and their twins: random graphs with interfaces (and now
+    and then a loop or a symbol without ports), identity wires joining
+    interfaces to interfaces, loop vertices of either sort, closed
+    components and the empty graph, some repeated.  Only closed
+    components have twins other than themselves."""
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            g = laws.random_graph(rng, laws.random_obj(rng, 3))
+        elif kind == 1:
+            g = identity_graph(laws.random_obj(rng, 2, min_len=1))
+        elif kind == 2:
+            w = Obj.of(rng.choice(laws.SORTS))
+            g = trace(identity_graph(w), w)  # a loop vertex
+        elif kind == 3:
+            parts.append(closed_part(rng))
+            continue
+        else:
+            g = identity_graph(UNIT)
+        parts.append((g, g))
+    parts += parts[: rng.randint(0, len(parts))]
+    rng.shuffle(parts)
+    return [g for g, _ in parts], [h for _, h in parts]
+
+
+def port_components(g: SigmaGraph) -> list[nx.Graph]:
+    h = port_labelled(g)
+    return [h.subgraph(c) for c in nx.connected_components(h)]
+
+
+def componentwise_reference(g1: SigmaGraph, g2: SigmaGraph) -> bool:
+    """:func:`reference_isomorphic` one connected component at a time:
+    each component of one side is paired off with a VF2++-isomorphic
+    component of the other, which is exact because isomorphism is an
+    equivalence.  VF2++ on the whole graph took seconds on some
+    edge-swapped copies of several ladders."""
+    rest = port_components(g2)
+    for part in port_components(g1):
+        twin = next((d for d in rest if len(d) == len(part)
+                     and nx.vf2pp_is_isomorphic(part, d, node_label="label")), None)
+        if twin is None:
+            return False
+        rest.remove(twin)
+    return not rest
+
+
+def agree(g: SigmaGraph, h: SigmaGraph) -> bool:
+    """``isomorphic(g, h)``, checked against networkx VF2++ component by
+    component and against the encoded bijection search, both ways round."""
+    verdict = isomorphic(g, h)
+    assert verdict == componentwise_reference(g, h) == encoded_isomorphic(g, h)
+    assert isomorphic(h, g) == verdict
+    return verdict
+
+
+@settings(max_examples=200)
+@given(SEEDS)
+def test_isomorphic_agrees_with_networkx_on_mixed_components(seed):
+    rng = random.Random(seed)
+    parts, twins = mixed_parts(rng)
+    g = summed(parts)
+    assert agree(g, shuffled(g, rng))
+    agree(g, shuffled(summed(twins), rng))
+    agree(g, summed(rng.sample(parts, len(parts))))
+    swapped = edge_swapped(g, rng)
+    if swapped is not None:
+        agree(g, shuffled(swapped, rng))
+
+
+HH = RankedAlphabet({"h": Obj.parse("AA")})
+HH_PAIR = sum_graphs(atom(HH, "h"), atom(HH, "h"))
+
+
+@pytest.mark.parametrize(
+    "g, h, verdict",
+    [
+        (identity_graph(UNIT), identity_graph(UNIT), True),
+        (identity_graph(UNIT), trace(identity_graph(Obj.parse("A")), Obj.parse("A")), False),
+        # two h : AA joined port 1 to port 1 and 2 to 2, or 1 to 2 and 2 to 1
+        (trace(HH_PAIR, Obj.parse("AA")),
+         trace(reindex(HH_PAIR, from_positions(Obj.parse("AAAA"), (0, 1, 3, 2))), Obj.parse("AA")),
+         False),
+        (sum_graphs(marked_ring(5), atom(HH, "h")),
+         sum_graphs(marked_ring(5), atom(HH, "h")), True),
+    ],
+    ids=["empty", "empty-and-loop", "parallel-and-crossed", "marked-ring-beside-interfaces"],
+)
+def test_isomorphic_agrees_with_networkx_on_fixed_pairs(g, h, verdict):
+    assert agree(g, h) == verdict
+    assert agree(g, shuffled(h, random.Random(0))) == verdict
+
+
+def test_failed_tries_leave_no_map():
+    # vertex 0 is a cell, so its tries against the cells of the other
+    # side fail but one, and each must be undone before the next
+    for seed in range(20):
+        for k in (1, 2):
+            g, h = (summed([marked_ring(6, mark)] * k) for mark in (3, seed % 6))
+            assert isomorphic(g, shuffled(h, random.Random(seed)))
+
+
+def best_call_time(g: SigmaGraph, h: SigmaGraph, verdict: bool) -> float:
+    """The best of three timed ``isomorphic(g, h)`` calls, each checked to
+    give ``verdict``."""
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert isomorphic(g, h) is verdict
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_ladder_and_mobius_mix_is_rejected_fast():
+    # k - 1 circular ladders and one Möbius ladder against k circular
+    # ladders: the matcher on the whole graph took 14.2 s at k = 4
+    for k in range(2, 9):
+        g = summed([ladder_copies(1, 6)] * (k - 1) + [mobius_ladder(6)])
+        h = shuffled(ladder_copies(k, 6), random.Random(k))
+        assert best_call_time(g, h, False) < 0.5, k
+
+
+def test_copies_of_closed_components_are_matched_fast():
+    for copies in (cycle_copies, ladder_copies):
+        for k in range(1, 9):
+            g = copies(k, 6)
+            rng = random.Random(k)
+            assert best_call_time(g, shuffled(g, rng), True) < 0.5, (copies, k)
+            h = shuffled(shape_swapped(g, rng), rng)
+            assert best_call_time(g, h, False) < 0.5, (copies, k)
+
+
+def test_one_ladder_against_one_mobius_ladder_stays_fast():
+    # the worst case: every try at the one closed component fails only
+    # after going most of the way round; quadratic, 1.4 s at 400 rungs
+    assert best_call_time(ladder_copies(1, 100), mobius_ladder(100), False) < 0.5

@@ -2,7 +2,7 @@
 
 Subcommands: parse, normalize, eq, eval, simulate, soliton, axioms,
 export-dot.  Exit codes: 0 success (or equal), 1 unequal or property
-failure, 2 usage or parse errors.
+failure, 2 usage or parse errors, or running out of memory.
 
 Term files hold optional ``sig <name> <rankword>`` header lines followed
 by one term.  Machine files are JSON documents::
@@ -350,6 +350,10 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ImaError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:  # its message is empty
+        print("error: out of memory: the input needs more memory than this process has",
+              file=sys.stderr)
         return 2
 
 

@@ -10,13 +10,16 @@ Grammar (``+`` is left-associative, ``.`` binds tightest)::
            | "comp[" word ";" word ";" word "]" "(" term "," term ")"
            | "ten[" word ";" word ";" word ";" word "]" "(" term "," term ")"
            | "(" term ")"
-    perm ::= "id(" word ")" | "c(" word "," word ")"
+    perm ::= "id(" word ")" | "c(" word "," word ")" | "p(" word ";" NUMBER* ")"
            | perm "." perm | perm "#" perm | "(" perm ")"
 
 Words are comma-free strings of single-letter sorts, ``()`` is the unit
-word.  After a term-level ``.`` the longest permutation expression is
-consumed, so ``t . p1 . p2`` denotes one indexing by the composite
-``p1 . p2``; write ``(t . p1) . p2`` for two separate indexings.
+word.  ``p(w; t1 ... tN)`` is the symbol whose blocks are the N letters
+of ``w`` and which sends the k-th of them to position ``tk``, written in
+decimal from 1: the targets are 1..N, each once.  After a term-level
+``.`` the longest permutation expression is consumed, so ``t . r . s``
+denotes one indexing by the composite ``r . s``; write ``(t . r) . s``
+for two separate indexings.
 """
 
 from __future__ import annotations
@@ -476,7 +479,21 @@ def parse(text: str) -> Term:
         return value, k + 1
 
     def symbol(k):
-        """The ``id(w)`` or ``c(v,w)`` at ``k``, and the index after it."""
+        """The ``id(w)``, ``c(v,w)`` or ``p(w; ...)`` at ``k``, and the
+        index after it."""
+        if tokens[k] == "p":
+            w, k = word(expect("(", k + 1))
+            k = expect(";", k)
+            position = {str(j + 1): j for j in range(len(w))}
+            sends = []
+            for _ in w:
+                j = position.pop(tokens[k], None)  # each target once
+                if j is None:
+                    found = tokens[k] or "end of input"
+                    fail(f"expected an unused target in 1..{len(w)}, found {found!r}", k)
+                sends.append(j)
+                k += 1
+            return pm.from_positions(obj(w), sends), expect(")", k)
         if tokens[k] == "id":
             w, k = word(expect("(", k + 1))
             key = ("id", w, "")
@@ -506,7 +523,7 @@ def parse(text: str) -> Term:
                 factors, chain = [], None
                 k += 1
                 continue
-            if value != "id" and value != "c":
+            if value != "id" and value != "c" and value != "p":
                 fail(f"expected a permutation, found {value!r}", k)
             rho, k = symbol(k)
             while True:  # ``rho`` is a whole operand of the open chain
@@ -607,47 +624,20 @@ def format_perm(rho: PermSymbol) -> str:
     """Express a symbol in the concrete grammar.
 
     Identities print as ``id(w)`` and two-block swaps as ``c(v,w)``.  Any
-    other symbol prints as the rounds of an odd-even transposition sort of
-    its flattening, joined by ``.``: a round compares the adjacent pairs
-    starting at even positions, or at odd ones, alternately, and prints as
-    the tensor of ``c(x,y)`` for each pair it swaps and ``id(run)`` for
-    each run of letters it leaves in place.  Rounds that swap nothing are
-    skipped.  N letters sort in at most N rounds, so the text has O(N²)
-    characters.  Every block is one letter, so the rounds compose and the
-    text reparses to an equal symbol.
+    other symbol prints as the literal ``p(w; t1 ... tN)`` of its
+    flattening, one 1-based target per letter, so N letters print in
+    O(N log N) characters.  The literal's blocks are single letters, and
+    it reparses to an equal symbol.
     """
     flat = rho.flatten()
-    n = len(flat)
-    goal = list(range(n))
-    if flat == tuple(goal) and all(len(b) <= 1 for b in rho.blocks):
+    trivial = flat == tuple(range(len(flat)))
+    if trivial and all(len(b) <= 1 for b in rho.blocks):
         return f"id({rho.dom})"
     if len(rho.blocks) == 2 and rho.pi == (1, 0):
         return f"c({rho.blocks[0]},{rho.blocks[1]})"
-    if flat == tuple(goal):
+    if trivial:
         return f"id({rho.dom})"
-    factors = []
-    letters = [s.name for s in rho.dom]
-    key = list(flat)  # key[j] = target position of the letter now at j
-    parity = 0
-    while key != goal:
-        swaps = [j for j in range(parity, n - 1, 2) if key[j] > key[j + 1]]
-        parity ^= 1
-        if not swaps:
-            continue
-        parts = []
-        done = 0  # letters before this position are printed
-        for j in swaps:
-            if j > done:
-                parts.append(f"id({''.join(letters[done:j])})")
-            parts.append(f"c({letters[j]},{letters[j + 1]})")
-            key[j], key[j + 1] = key[j + 1], key[j]
-            letters[j], letters[j + 1] = letters[j + 1], letters[j]
-            done = j + 2
-        if done < n:
-            parts.append(f"id({''.join(letters[done:])})")
-        joined = "#".join(parts)
-        factors.append(f"({joined})" if len(parts) > 1 else joined)
-    return " . ".join(factors)
+    return f"p({rho.dom}; {' '.join([str(j + 1) for j in flat])})"
 
 
 def format_term(t: Term) -> str:

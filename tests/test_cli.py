@@ -187,6 +187,16 @@ def test_eval_machine(machine_files, capsys):
     assert [1, [1, 1], 2, [0, 2]] in doc["transitions"]
 
 
+def test_eval_out_of_memory_exits_two(machine_files, capsys, monkeypatch):
+    def exhausted(machine):
+        raise MemoryError
+
+    monkeypatch.setattr(dflow, "evaluate", exhausted)
+    code, out, err = run(capsys, "eval", "--machine", str(machine_files / "m.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: the input needs more memory than this process has\n"
+
+
 def write_chain_omega(machine_files, capsys) -> str:
     """``eval --machine`` of a chain of two switches, written to
     ``chain.auto.json``: an automaton with tuple states.  Returns the
@@ -773,6 +783,7 @@ FUZZ_FILES = {
     "id.auto.json": {"interface": "AA", "states": [0], "transitions": [[0, 1, 0, 2], [0, 2, 0, 1]]},
     "f.term": "sig f BA\natom f + id(A)\n",
     "h.term": "sig h AABB\ntr(B, tr(A, atom h))\n",
+    "p.term": "sig f AB\nsig g BA\n(atom f + atom g) . p(ABBA; 3 1 4 2)\n",
     "g.txt": "interfaces a b\nedge a u\nedge u v\nedge v b\n",
     "q.txt": "u -> v\nv -> u\n",
 }
@@ -789,6 +800,7 @@ FUZZ_COMMANDS = {
     "id.auto.json": [("eval", "--automaton", "id.auto.json")],
     "f.term": [("parse", "f.term"), ("normalize", "f.term"), ("eq", "f.term", "h.term")],
     "h.term": [("normalize", "h.term"), ("eq", "f.term", "h.term")],
+    "p.term": [("parse", "p.term"), ("normalize", "p.term"), ("eq", "p.term", "p.term")],
     "g.txt": [("soliton", "--graph", "g.txt", "--enumerate-pims"), SOLITON_WALK],
     "q.txt": [SOLITON_WALK],
 }
@@ -799,7 +811,7 @@ SMALL_VALUES_BY_TYPE = {
 }
 SMALL_VALUES = [value for values in SMALL_VALUES_BY_TYPE.values() for value in values]
 TOKENS = ["0", "1", "2", "7", "-1", "x", "A", "*", "->", ":", "()", "1.1", "in:1:1", "sym:c2",
-          "sym:c2:11", "id(A)", "atom", "tr(A,", ")", "+", "."]
+          "sym:c2:11", "id(A)", "atom", "tr(A,", ")", "+", ".", "p(AB;", ";"]
 BURY_DEPTHS = [600, 1100, 100_000]
 NESTINGS = ["({})", "tr((), {})", "id() + ({})", "({}) . id(A)", "tr(A, id(A) + ({}))"]
 PICK = st.integers(0, 255)

@@ -12,7 +12,7 @@ from ima.errors import ImaError, MissingSymbol, ParseError, RankError
 from ima.graph import RankedAlphabet,atom, decompose, identity_graph, isomorphic, sum_graphs
 from ima.laws import random_graph, random_obj
 from ima.perm import Obj, block_transposition, compose, from_positions, identity, tensor, tensor_all
-from sweeps import tape_graph
+from sweeps import shuffled, tape_graph
 
 A = Obj.parse("A")
 B = Obj.parse("B")
@@ -394,30 +394,43 @@ def test_format_perm_round_trips_large_flattenings():
 
 # -- printing large terms and symbols --------------------------------------------------
 
-def test_printed_tape_grows_quadratically():
-    # odd-even rounds print O(N²) text for N letters
-    sizes = {n: len(tm.format_term(decompose(tape_graph(n)))) for n in (40, 80)}
-    assert sizes[80] <= 4.5 * sizes[40]
+def test_printed_shuffled_tape_is_small_and_round_trips_fast():
+    # one target per letter: O(N log N) text, read back in one pass
+    t = decompose(shuffled(tape_graph(4000), random.Random(4000)))
+    start = time.perf_counter()
+    text = tm.format_term(t)
+    assert tm.parse(text) == t
+    assert time.perf_counter() - start < 1.0
+    assert len(text) < 1_000_000
 
 
-def test_format_perm_prints_sorting_rounds():
+def test_format_perm_prints_one_literal():
     rng = random.Random(7)
-    sorts = Obj.parse("AB").word
-    for n in (50, 100, 200, 300):
-        w = Obj(tuple(rng.choice(sorts) for _ in range(n)))
-        sends = list(range(n))
-        rng.shuffle(sends)
-        if n == 300:
-            sends.sort(reverse=True)  # the worst case: every pair is inverted
-        rho = from_positions(w, sends)
-        text = tm.format_perm(rho)
-        back = tm.parse(f"id({w}) . {text}").rho
-        assert back == rho
-        factors = text.split(" . ")
-        assert len(factors) <= n
-        for factor in factors:
-            assert all(len(b) == 1 for b in tm.parse(f"id() . {factor}").rho.blocks)
-        assert tm.format_perm(back) == text
+    n = 300
+    w = Obj(tuple(rng.choice(Obj.parse("AB").word) for _ in range(n)))
+    rho = from_positions(w, list(reversed(range(n))))
+    text = tm.format_perm(rho)
+    assert text == f"p({w}; {' '.join(str(j) for j in range(n, 0, -1))})"
+    back = tm.parse(f"id({w}) . {text}").rho
+    assert back == rho
+    assert all(len(b) == 1 for b in back.blocks)
+    assert tm.format_perm(back) == text
+
+
+# An odd-even transposition sort of ABBABAB into 1 3 4 7 6 5 2, as symbols
+# other than identities and two-block swaps printed before the literal.
+SORTING_ROUNDS = (
+    "(id(ABBA)#c(B,A)#id(B)) . (id(ABB)#c(A,A)#c(B,B)) . (id(ABBA)#c(A,B)#id(B))"
+    " . (id(ABB)#c(A,B)#c(A,B)) . (id(AB)#c(B,B)#id(ABA)) . (id(A)#c(B,B)#id(BABA))"
+)
+
+
+def test_sorting_rounds_parse_to_the_literal_symbol():
+    literal = "p(ABBABAB; 1 3 4 7 6 5 2)"
+    rounds = tm.parse(f"id(ABBABAB) . {SORTING_ROUNDS}").rho
+    assert rounds == tm.parse(f"id(ABBABAB) . {literal}").rho
+    assert rounds == from_positions(Obj.parse("ABBABAB"), [0, 2, 3, 6, 5, 4, 1])
+    assert tm.format_perm(rounds) == literal
 
 
 # -- equality and hashing of deep terms ------------------------------------------------
@@ -489,7 +502,7 @@ def char_loop_tokens(text):
 
 
 TOKEN_PIECES = list("()[];,+.#") + list("ABcé٣²_9") + [" ", "\t", "\r", "\n", "\x0b", "@"]
-TOKEN_PIECES += ["atom", "id", "tr", "comp", "ten"]
+TOKEN_PIECES += ["atom", "id", "tr", "comp", "ten", "p", "1", "2"]
 
 
 token_soups = st.lists(st.sampled_from(TOKEN_PIECES), max_size=40).map("".join)
@@ -557,9 +570,22 @@ class RecursiveParser:
             rho = self.perm()
             self.expect(")")
             return rho
-        if tok[1] not in ("id", "c"):
+        if tok[1] not in ("id", "c", "p"):
             self.fail(f"expected a permutation, found {tok[1]!r}", tok)
         self.expect("(")
+        if tok[1] == "p":
+            w = self.word()
+            self.expect(";")
+            numerals = [str(j) for j in range(1, len(w) + 1)]
+            sends = []
+            for _ in w:
+                target = self.next()
+                if target[1] not in numerals or numerals.index(target[1]) in sends:
+                    found = target[1] or "end of input"
+                    self.fail(f"expected an unused target in 1..{len(w)}, found {found!r}", target)
+                sends.append(numerals.index(target[1]))
+            self.expect(")")
+            return from_positions(w, sends)
         if tok[1] == "id":
             w = self.word()
             self.expect(")")
@@ -659,7 +685,8 @@ def test_parser_matches_recursive_parser_on_token_soups(text):
     assert outcome(tm.parse, text) == outcome(recursive_parse, text)
 
 
-MUTATIONS = ["(", ")", ".", "#", "+", ",", ";", "[", "]", "A", "()", "id", "c", "atom", "tr"]
+MUTATIONS = ["(", ")", ".", "#", "+", ",", ";", "[", "]", "A", "()", "id", "c", "atom", "tr",
+             "p", "1", "2"]
 
 
 @settings(max_examples=300)
@@ -701,6 +728,19 @@ def test_parser_matches_recursive_parser_on_mutated_terms(t, data):
         "id(A) . (c(A,B) # id(C)",
         "id(A) . (c(A,B) . c(B,A) # id()) . id(AB)",
         "(id(A) . c(A,B)) .\n id()) + tr()",
+        "id(ABA) . p(ABA; 2 3 1) . c(A,AB)",
+        "id(AB) . (p(AB; 2 1) . id(BA) # p((); )) . c(B,A)",
+        "id(AB) . p(AB; 2)",
+        "id(AB) . p(AB; 2 1 2)",
+        "id(AB) . p(AB; 2 2)",
+        "id(AB) . p(AB; 0 1)",
+        "id(AB) . p(AB; 1 3)",
+        "id(AB) . p(AB; 1 B)",
+        "id(AB) . p(AB; 01 2)",
+        "id(AB) . p(AB 1 2)",
+        "id() . p((); )",
+        "id() . p(; )",
+        "id(A) . p(A; 1",
     ],
 )
 def test_parser_matches_recursive_parser_on_examples(text):

@@ -2,7 +2,8 @@
 
 Subcommands: parse, normalize, eq, eval, simulate, soliton, axioms,
 export-dot.  Exit codes: 0 success (or equal), 1 unequal or property
-failure, 2 usage or parse errors, or running out of memory.
+failure, 2 usage or parse errors, running out of memory, or a machine of
+more global states than ``dflow.MAX_STATES``.
 
 Term files hold optional ``sig <name> <rankword>`` header lines followed
 by one term.  Machine files are JSON documents::
@@ -74,8 +75,9 @@ BUILTIN_AUTOMATA = {
 def load_machine(path: str) -> GraphMachine:
     """The machine a JSON object describes (see the module docstring).
     An object of another shape raises ``ImaError`` naming the key and
-    its value.  A builtin is built only for a name that some vertex
-    carries, and only once its ``n`` equals those vertices' arity."""
+    its value.  An automaton file is read, and a builtin built, only for a
+    name that some vertex carries; a builtin only once its ``n`` equals
+    those vertices' arity."""
     mpath = Path(path)
     doc = dflow.load_json(mpath.read_text(), "machine file")
 
@@ -102,6 +104,8 @@ def load_machine(path: str) -> GraphMachine:
     omega = {}
     for name, spec in doc["omega"].items():
         if isinstance(spec, str):
+            if name not in wants:
+                continue
             auto = dflow.parse_automaton((mpath.parent / spec).read_text())
             if not isinstance(auto, DFlowAutomaton):
                 raise ImaError(f"automaton file {spec!r} for {name!r} has no data")

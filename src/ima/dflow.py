@@ -36,7 +36,9 @@ from .automata import (
     sum_automata,
     trace_automaton,
 )
-from .errors import IllFormedConfig, ImaError, InvalidArity, InvalidSpec, MissingSymbol
+from .errors import (
+    IllFormedConfig, ImaError, InvalidArity, InvalidSpec, MissingSymbol, TooManyStates,
+)
 from .graph import DEFAULT_SORT, InterfaceLabel, SigmaGraph, SymbolLabel
 from .perm import Obj, PermSymbol, Sort, concat
 
@@ -330,6 +332,11 @@ class GraphMachine:
                     f"automaton for {lab.name!r} has arity {auto.arity()}, "
                     f"vertex wants {len(lab.rank)}"
                 )
+            if auto.sort_word != lab.rank:
+                raise ValueError(
+                    f"automaton for {lab.name!r} has port word {auto.sort_word}, "
+                    f"vertex has rank {lab.rank}"
+                )
 
     def local(self, vid: int) -> DFlowAutomaton:
         return self.omega[self.graph.vertices[vid].name]
@@ -341,13 +348,34 @@ class GraphMachine:
         return StepIndex(self)
 
 
+MAX_STATES = 1 << 16
+"""The most global states :func:`evaluate` and :func:`walk_closure` build.
+A 16-cell tape of ``unary_increment_tm`` has this many and peaks at about
+2.7 GB; 17 cells would need about 10 GB."""
+
+
+def _refuse_too_many_states(m: GraphMachine) -> None:
+    """Raise :class:`TooManyStates` when the product of ``m``'s local state
+    counts, its global state count, exceeds :data:`MAX_STATES`."""
+    count = 1
+    for vid in m.graph.internal_vertices():
+        count *= len(m.local(vid).base.names)
+    if count > MAX_STATES:
+        raise TooManyStates(
+            f"the machine has {count} global states, more than the bound {MAX_STATES}"
+        )
+
+
 def evaluate(m: GraphMachine) -> DFlowAutomaton:
     """The machine as one automaton over D x (rank of the graph): the star
     decomposition of the graph evaluated in the data-flow algebra, in the
     order :func:`term.trace_early` gives it.  Atoms are summed in
     vertex-id order and each internal edge is traced as soon as both of
     its end vertices are in, so every trace runs over the ports on the
-    frontier between summed and unsummed vertices, not over all of them."""
+    frontier between summed and unsummed vertices, not over all of them.
+    A machine of more than :data:`MAX_STATES` global states raises
+    :class:`TooManyStates` before anything is built."""
+    _refuse_too_many_states(m)
     interp = tm.Interpretation(DFlowAlgebra(m.data), m.omega)
     return tm.evaluate(tm.trace_early(gr.decompose(m.graph), interp.ranks()), interp)
 
@@ -641,7 +669,9 @@ def walk_closure(m: GraphMachine) -> frozenset:
     expansion: each configuration's successors are read once into a
     dict, a code below ``ix.terminal`` ends a walk, and each terminal's
     ``(name, position)`` end is built once and shared by every start
-    that reaches it."""
+    that reaches it.  A machine of more than :data:`MAX_STATES` global
+    states raises :class:`TooManyStates` before anything is built."""
+    _refuse_too_many_states(m)
     ix = m.step_index
     k, size, terminal = len(m.data), ix.size, ix.terminal
     names = [ix.name(s) for s in range(size)]

@@ -56,3 +56,7 @@ class BadLabel(ImaError):
 
 class NotInternalEdge(ImaError):
     """Edge-sign queries are only defined on internal edges."""
+
+
+class TooManyStates(ImaError):
+    """A machine with more global states than ``dflow.MAX_STATES``."""

@@ -71,7 +71,10 @@ class SigmaGraph:
     The constructor is the one place that checks a graph, for parts that
     come from outside.  Sum, reindex and trace build well-formed graphs from
     already checked operands and skip it.  The partner map is the only
-    stored edge set; :attr:`edges` is derived from it on first use."""
+    stored edge set; :attr:`edges` is derived from it on first use.  Vertex
+    ids only name vertices and may have gaps: no operation renumbers them,
+    sum moves a later summand's ids past those in use, trace gives a new
+    loop vertex an id past the largest, and only the writers number them."""
 
     __slots__ = ("vertices", "_partner", "_ifaces", "_rank", "_edges")
 
@@ -243,11 +246,11 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
     """Glue the edges at interface pairs (i, |w|+i) for i = 1..|w|.
 
     All pairs are spliced simultaneously by following chains of edges
-    through the deleted interface ports.  A chain that closes on itself
-    without reaching a surviving port leaves a fresh loop vertex of the
-    chain's common sort.  Surviving vertices keep their order and are
-    numbered from 0, loop vertices after them; surviving interfaces are
-    renumbered in order.
+    through the deleted interface ports, so the work beyond copying ``g``'s
+    maps grows with the chains.  A chain that closes on itself without
+    reaching a surviving port leaves a loop vertex of the chain's common
+    sort, with an id past ``max(g.vertices)``.  Surviving vertices keep
+    their ids, and surviving interfaces their order.
     """
     n = len(w)
     rank = g.rank_word()
@@ -256,43 +259,36 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
     ifaces = g._ifaces
     splice: dict[Port, Port] = {}
     for a, b in zip(ifaces[:n], ifaces[n : 2 * n]):
-        splice[(a, 0)] = (b, 0)
-        splice[(b, 0)] = (a, 0)
-
-    # A kept port's new partner is the kept port at the far end of its
-    # chain of glued edges; the ports the chain passes through are used.
-    deleted_vids = set(ifaces[: 2 * n])
-    kept = sorted(vid for vid in g.vertices if vid not in deleted_vids)
-    new_id = {vid: k for k, vid in enumerate(kept)}
-    partner: dict[Port, Port] = {}
+        splice[(a, 0)], splice[(b, 0)] = (b, 0), (a, 0)
+    vertices, partner = dict(g.vertices), dict(g._partner)
+    for vid in ifaces[: 2 * n]:
+        del vertices[vid], partner[(vid, 0)]
+    for serial, vid in enumerate(ifaces[2 * n :], start=1):
+        vertices[vid] = InterfaceLabel(serial, vertices[vid].sort)
+    # The two kept ends of a chain of glued edges become partners; the
+    # ports the chain passes through are used.
     used = set()
-    for p, q in g._partner.items():
-        if p[0] in deleted_vids:
+    for a in splice:
+        p = g._partner[a]
+        if a in used or p in splice:
             continue
+        q = a
         while q in splice:
             used.update((q, splice[q]))
             q = g._partner[splice[q]]
-        partner[(new_id[p[0]], p[1])] = (new_id[q[0]], q[1])
-
-    vertices: dict[int, Label] = {}
-    for k, vid in enumerate(kept):
-        lab = g.vertices[vid]
-        if isinstance(lab, InterfaceLabel):
-            lab = InterfaceLabel(lab.serial - 2 * n, lab.sort)
-        vertices[k] = lab
+        partner[p], partner[q] = q, p
     # A chain no kept port reaches closes on itself into a loop.
+    top = max(g.vertices, default=-1) + 1
     for a in sorted(splice):
         if a in used:
             continue
-        vertices[len(vertices)] = LoopLabel(g.port_sort(a))
+        vertices[top] = LoopLabel(g.port_sort(a))
+        top += 1
         q = a
-        while True:
+        while q not in used:
             used.update((q, splice[q]))
             q = g._partner[splice[q]]
-            if q == a:
-                break
-    return _assemble(vertices, partner, tuple(new_id[vid] for vid in ifaces[2 * n :]),
-                     rank[2 * n :])
+    return _assemble(vertices, partner, ifaces[2 * n :], rank[2 * n :])
 
 
 # -- isomorphism -----------------------------------------------------------
@@ -481,9 +477,11 @@ def decompose(g: SigmaGraph):
 def format_graph(g: SigmaGraph) -> str:
     """The ``graph/vertex/edge`` text of ``g``; every symbol vertex carries
     its rank word, as in ``sym:f:AB`` or ``sym:g0:()``, so that
-    :func:`parse_graph` reads back a graph isomorphic to ``g``."""
+    :func:`parse_graph` reads back a graph isomorphic to ``g``, numbered
+    from 0 in id order."""
     lines = [f"graph {g.rank_word()}"]
-    for vid in sorted(g.vertices):
+    num = {vid: k for k, vid in enumerate(sorted(g.vertices))}
+    for vid, k in num.items():
         lab = g.vertices[vid]
         if isinstance(lab, SymbolLabel):
             text = f"sym:{lab.name}:{lab.rank}"
@@ -491,9 +489,9 @@ def format_graph(g: SigmaGraph) -> str:
             text = f"in:{lab.serial}:{lab.sort.name}"
         else:
             text = f"loop:{lab.sort.name}"
-        lines.append(f"vertex {vid} {text}")
+        lines.append(f"vertex {k} {text}")
     for (a, i), (b, j) in _edge_pairs(g):
-        lines.append(f"edge {a}.{i + 1} {b}.{j + 1}")
+        lines.append(f"edge {num[a]}.{i + 1} {num[b]}.{j + 1}")
     return "\n".join(lines) + "\n"
 
 
@@ -610,18 +608,19 @@ def parse_graph(text: str) -> SigmaGraph:
 
 def to_dot(g: SigmaGraph) -> str:
     lines = ["graph G {"]
-    for vid in sorted(g.vertices):
+    num = {vid: k for k, vid in enumerate(sorted(g.vertices))}
+    for vid, k in num.items():
         lab = g.vertices[vid]
         if isinstance(lab, SymbolLabel):
-            lines.append(f'  v{vid} [shape=circle, label="{lab.name}"];')
+            lines.append(f'  v{k} [shape=circle, label="{lab.name}"];')
         elif isinstance(lab, InterfaceLabel):
             lines.append(
-                f'  v{vid} [shape=box, label="{lab.serial}:{lab.sort.name}"];'
+                f'  v{k} [shape=box, label="{lab.serial}:{lab.sort.name}"];'
             )
         else:
-            lines.append(f'  v{vid} [shape=diamond, label="{lab.sort.name}"];')
+            lines.append(f'  v{k} [shape=diamond, label="{lab.sort.name}"];')
     for (a, i), (b, j) in _edge_pairs(g):
-        lines.append(f'  v{a} -- v{b} [taillabel="{i + 1}", headlabel="{j + 1}"];')
+        lines.append(f'  v{num[a]} -- v{num[b]} [taillabel="{i + 1}", headlabel="{j + 1}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -147,13 +147,17 @@ def test_criterion_5_oracle_equality():
         for g in connected_port_graphs(max_internal=3, max_iface=2, max_degree=3):
             for alternating in (False, True):
                 m = switch_machine(g, alternating)
-                assert walk_closure(m) == evaluate(m).base.delta
+                ev = evaluate(m)
+                assert walk_closure(m) == ev.base.delta
+                assert ev.sort_word == m.graph.rank_word()
                 count += 1
         assert count >= 80
         rng = random.Random(20240806)
         for _ in range(50):
             m = random_machine(rng)
-            assert walk_closure(m) == evaluate(m).base.delta
+            ev = evaluate(m)
+            assert walk_closure(m) == ev.base.delta
+            assert ev.sort_word == m.graph.rank_word()
 
 
 # -- 6: switch fidelity ------------------------------------------------------------------

@@ -726,6 +726,7 @@ def test_evaluate_closes_no_empty_loop(monkeypatch):
 
     monkeypatch.setattr(Rel, "star", spy)
     m = dflow.tm_encode(dflow.unary_increment_tm(), 6)
-    got = dflow.evaluate(m).base
+    ev = dflow.evaluate(m)
     assert True not in closed
-    assert got.delta == dflow.walk_closure(m)
+    assert ev.base.delta == dflow.walk_closure(m)
+    assert ev.sort_word == m.graph.rank_word()

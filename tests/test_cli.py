@@ -240,6 +240,49 @@ def test_machine_rejects_omega_file_without_data(machine_files, capsys):
     assert err.startswith("error: ") and "has no data" in err
 
 
+def test_omega_file_is_read_only_for_a_name_some_vertex_carries(machine_files, capsys):
+    m = machine_files / "m.json"
+    _, expected, _ = run(capsys, "eval", "--machine", str(m))
+    doc = json.loads(m.read_text())
+    for omega, want in (({**doc["omega"], "unused": "missing.auto.json"}, (0, expected, "")),
+                        ({"c2": "missing.auto.json"}, (2, "", "error: ")),
+                        # a wrong shape is refused whether a vertex carries the name or not
+                        ({**doc["omega"], "unused": 5}, (2, "", "error: machine file: "))):
+        (machine_files / "files.json").write_text(json.dumps({**doc, "omega": omega}))
+        code, out, err = run(capsys, "eval", "--machine", str(machine_files / "files.json"))
+        assert (code, out) == want[:2] and err.startswith(want[2])
+        assert err.count("\n") == (code == 2)
+
+
+def test_eval_machine_whose_automaton_has_other_ports(machine_files, capsys):
+    (machine_files / "sorted.graph").write_text(
+        "graph AA\nvertex 0 sym:c2:AA\nvertex 1 in:1:A\nvertex 2 in:2:A\n"
+        "edge 1.1 0.1\nedge 0.2 2.1\n"
+    )
+    doc = {"graph": "sorted.graph", "data": [0, 1],
+           "omega": {"c2": {"builtin": "alternating_switch", "n": 2}}}
+    (machine_files / "sorted.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--machine", str(machine_files / "sorted.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: automaton for 'c2' has port word 11, vertex has rank AA\n"
+
+
+def test_eval_machine_of_too_many_states_exits_two_at_once(machine_files, capsys):
+    # 40 two-state switches in a ring: 2**40 global states
+    lines = ["graph ()"] + [f"vertex {i} sym:c2" for i in range(40)]
+    lines += [f"edge {i}.2 {(i + 1) % 40}.1" for i in range(40)]
+    (machine_files / "ring.graph").write_text("\n".join(lines) + "\n")
+    doc = {"graph": "ring.graph", "data": [0, 1],
+           "omega": {"c2": {"builtin": "alternating_switch", "n": 2}}}
+    (machine_files / "ring.json").write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--machine", str(machine_files / "ring.json"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: the machine has {2**40} global states, "
+                   f"more than the bound {dflow.MAX_STATES}\n")
+
+
 @pytest.mark.parametrize(
     "change, message",
     [

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +42,9 @@ from ima.dflow import (
     walk_closure,
     walks,
 )
-from ima.errors import IllFormedConfig, ImaError, InvalidArity, InvalidSpec, RankMismatch
+from ima.errors import (
+    IllFormedConfig, ImaError, InvalidArity, InvalidSpec, RankMismatch, TooManyStates,
+)
 from ima.graph import (
     DEFAULT_SORT,
     InterfaceLabel,
@@ -384,7 +387,9 @@ def test_indexed_step_equals_scanning_step():
     configs = 0
     for m in differential_machines():
         configs += assert_same_steps(m)
-        assert walk_closure(m) == evaluate(m).base.delta
+        ev = evaluate(m)
+        assert walk_closure(m) == ev.base.delta
+        assert ev.sort_word == m.graph.rank_word()
     assert configs > 20_000
 
 
@@ -532,13 +537,17 @@ def test_walks_on_single_vertex_reproduce_delta():
 def test_walks_match_evaluate_on_path_of_two_switches():
     a = alternating_switch(2)
     m = path_machine(a, 2)
-    assert walk_closure(m) == evaluate(m).base.delta
+    ev = evaluate(m)
+    assert walk_closure(m) == ev.base.delta
+    assert ev.sort_word == m.graph.rank_word()
 
 
 def test_walks_match_evaluate_atomic_interpretation():
     a = atomic_switch_dflow(2)
     m = path_machine(a, 2)
-    assert walk_closure(m) == evaluate(m).base.delta
+    ev = evaluate(m)
+    assert walk_closure(m) == ev.base.delta
+    assert ev.sort_word == m.graph.rank_word()
 
 
 def test_walks_from_anchor_only_pairs():
@@ -592,6 +601,7 @@ def test_walks_match_on_machine_with_wire_and_loop_vertex():
     m = GraphMachine(SigmaGraph(vertices, edges), a.data, {"c": a})
     ev = evaluate(m)
     assert walk_closure(m) == ev.base.delta
+    assert ev.sort_word == m.graph.rank_word()
     # the wire shows up as identity transitions between interfaces 3 and 4
     k = len(m.data)
     packed = pack_state(m, {0: 1})
@@ -608,6 +618,47 @@ def test_machine_requires_interpretation():
     )
     with pytest.raises(MissingSymbol):
         GraphMachine(g, (0, 1), {})
+
+
+def test_machine_automata_carry_the_vertices_port_words():
+    # the arity alone let a switch of ports 11 stand for a vertex of rank AA
+    a_sort = Sort("A")
+    g = SigmaGraph(
+        {0: SymbolLabel("c", Obj.parse("AA")), 1: InterfaceLabel(1, a_sort),
+         2: InterfaceLabel(2, a_sort)},
+        [{(1, 0), (0, 0)}, {(0, 1), (2, 0)}],
+    )
+    with pytest.raises(ValueError, match=r"^automaton for 'c' has port word 11, vertex has rank AA$"):
+        GraphMachine(g, (0, 1), {"c": alternating_switch(2)})
+    m = GraphMachine(g, (0, 1), {"c": alternating_switch(2, a_sort)})
+    assert evaluate(m).sort_word == g.rank_word()
+
+
+def ring_machine(cells: int) -> GraphMachine:
+    """``cells`` alternating switches in a closed ring: 2**cells global states."""
+    vertices = {i: SymbolLabel("c", Obj((S, S))) for i in range(cells)}
+    edges = [{(i, 1), ((i + 1) % cells, 0)} for i in range(cells)]
+    return GraphMachine(SigmaGraph(vertices, edges), (0, 1), {"c": alternating_switch(2)})
+
+
+def test_too_many_states_are_refused_before_anything_is_built():
+    m = ring_machine(40)
+    for run in (evaluate, walk_closure):
+        start = time.perf_counter()
+        with pytest.raises(TooManyStates, match=f"^the machine has {2**40} global states, "
+                                                f"more than the bound {dflow.MAX_STATES}$"):
+            run(m)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_a_machine_at_the_state_bound_evaluates(monkeypatch):
+    m = path_machine(alternating_switch(2), 3)  # 8 global states
+    monkeypatch.setattr(dflow, "MAX_STATES", 8)
+    assert evaluate(m).base.delta == walk_closure(m)
+    monkeypatch.setattr(dflow, "MAX_STATES", 7)
+    for run in (evaluate, walk_closure):
+        with pytest.raises(TooManyStates, match="has 8 global states, more than the bound 7"):
+            run(m)
 
 
 def test_eval_identity_term_is_dflow_identity():
@@ -855,7 +906,9 @@ def test_evaluate_deep_tape(monkeypatch):
 
     monkeypatch.setattr("ima.dflow.trace_automaton", narrow)
     m = tm_encode(scanner_tm(), 600)
-    assert evaluate(m).base.delta == walk_closure(m)
+    ev = evaluate(m)
+    assert ev.base.delta == walk_closure(m)
+    assert ev.sort_word == m.graph.rank_word()
 
 
 def test_evaluate_thousand_cell_tape():

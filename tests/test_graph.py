@@ -119,6 +119,14 @@ def assert_well_formed(g):
         assert g.partner(p) == q and g.partner(q) == p
 
 
+def dense(g):
+    """``g`` with its vertex ids mapped through the order-preserving
+    numbering 0, 1, ..., the numbering the writers print."""
+    num = {vid: k for k, vid in enumerate(sorted(g.vertices))}
+    return SigmaGraph({num[v]: lab for v, lab in g.vertices.items()},
+                      [{(num[a], i), (num[b], j)} for e in g.edges for (a, i), (b, j) in [sorted(e)]])
+
+
 def test_operation_results_are_well_formed():
     # sum, reindex and trace build their results without the constructor's checks
     rng = random.Random(11)
@@ -147,7 +155,7 @@ def test_edges_are_the_partner_map():
             assert result.edges == rebuilt
             # the file carries every symbol's rank: no alphabet is needed
             back = parse_graph(format_graph(result))
-            assert back.edges == result.edges
+            assert back.edges == dense(result).edges
             assert isomorphic(back, result)
 
 
@@ -440,13 +448,44 @@ def test_trace_equals_the_checked_rebuild():
         rng = random.Random(seed)
         w = random_obj(rng, 3)
         g = sum_graphs(random_graph(rng, w + w + random_obj(rng)), random_graph(rng, random_obj(rng)))
-        got, want = trace(g, w), checked_trace(g, w)
-        assert format_graph(got) == format_graph(want), seed
+        got, want = dense(trace(g, w)), checked_trace(g, w)
+        assert got.vertices == want.vertices, seed
         assert got.interface_vertices() == want.interface_vertices(), seed
         assert got.rank_word() == want.rank_word(), seed
         assert got._partner == want._partner, seed
         loops += bool(want.loop_vertices())
     assert loops > 100
+
+
+def test_trace_keeps_vertex_ids():
+    # only the glued interfaces go; every new vertex is a loop past the old ids
+    loops = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        w = random_obj(rng, 3)
+        g = sum_graphs(random_graph(rng, w + w + random_obj(rng)), random_graph(rng, random_obj(rng)))
+        glued = set(g.interface_vertices()[s] for s in range(1, 2 * len(w) + 1))
+        got = trace(g, w)
+        for vid, lab in g.vertices.items():
+            if vid in glued:
+                assert vid not in got.vertices, seed
+            elif isinstance(lab, InterfaceLabel):
+                assert got.vertices[vid] == InterfaceLabel(lab.serial - 2 * len(w), lab.sort), seed
+            else:
+                assert got.vertices[vid] == lab, seed
+        new = got.vertices.keys() - g.vertices.keys()
+        assert all(isinstance(got.vertices[v], LoopLabel) and v > max(g.vertices) for v in new)
+        loops += len(new)
+    assert loops > 50
+
+
+def test_writers_number_vertices_in_id_order():
+    text = ("graph AB\nvertex {} sym:f:BA\nvertex {} in:1:A\nvertex {} loop:B\n"
+            "vertex {} in:2:B\nvertex {} sym:k:()\nedge {}.2 {}.1\nedge {}.1 {}.1\n")
+    gaps = parse_graph(text.format(3, 10, 11, 40, 41, 3, 10, 40, 3))
+    dense_copy = parse_graph(text.format(0, 1, 2, 3, 4, 0, 1, 3, 0))
+    assert format_graph(gaps) == format_graph(dense_copy)
+    assert to_dot(gaps) == to_dot(dense_copy)
 
 
 # -- derived composition and tensor -----------------------------------------------

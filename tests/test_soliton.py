@@ -193,7 +193,9 @@ def test_anchor_walk_on_closed_cycle_returns():
 
 def test_walks_agree_with_machine_relation():
     p, ids = graph_of(PATH)
-    assert walk_closure(p.machine) == evaluate(p.machine).base.delta
+    ev = evaluate(p.machine)
+    assert walk_closure(p.machine) == ev.base.delta
+    assert ev.sort_word == p.machine.graph.rank_word()
 
 
 def test_alternation_across_small_sweep():

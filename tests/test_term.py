@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from ima import dflow, term as tm
 from ima.automata import AUTOMATA_ALGEBRA, identity_automaton
 from ima.errors import ImaError, MissingSymbol, ParseError, RankError
-from ima.graph import RankedAlphabet,atom, decompose, identity_graph, isomorphic, sum_graphs
+from ima.graph import (
+    LoopLabel, RankedAlphabet, atom, decompose, format_graph, identity_graph, isomorphic, sum_graphs,
+)
 from ima.laws import random_graph, random_obj
 from ima.perm import Obj, block_transposition, compose, from_positions, identity, tensor, tensor_all
 from sweeps import shuffled, tape_graph
@@ -309,6 +311,22 @@ def test_normalize_tape_scales_near_linearly():
     finally:
         gc.enable()
     assert best[4000] <= 8 * best[1000]
+
+
+def test_nested_traces_pile_up_loops_fast():
+    # each level closes an identity wire into a loop; trace copies the graph
+    # it is given, so the loops it carries cost time at every later level
+    t = tm.Id(A)
+    for _ in range(2000):
+        t = tm.Trace(A, tm.Sum(tm.Id(A), t))
+    start = time.perf_counter()
+    g = tm.normalize(t, ALPHABET)
+    elapsed = time.perf_counter() - start
+    assert g.rank_word() == A + A
+    assert [g.vertices[v] for v in g.loop_vertices()] == [LoopLabel(A.word[0])] * 2000
+    ids = [line.split()[1] for line in format_graph(g).splitlines() if line.startswith("vertex")]
+    assert ids == [str(k) for k in range(2002)]
+    assert elapsed < 1.0
 
 
 # -- printing ----------------------------------------------------------------------

@@ -302,7 +302,9 @@ def main(argv=None) -> int:
     parser.add_argument("--cases", type=_count, default=100)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--trace", action="store_true")
-    parser.add_argument("--dot", action="store_true")
+    parser.add_argument("--dot", action="store_true", help=(
+        "print Graphviz DOT (normalize, simulate); DOT names vertices v0, v1, ... in id "
+        "order, while state files and simulate --trace name them by the graph file's ids"))
     parser.add_argument("--max-steps", type=_count, default=20)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,6 +15,7 @@ glued edges as a fresh loop vertex.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import perm
@@ -74,9 +75,18 @@ class SigmaGraph:
     stored edge set; :attr:`edges` is derived from it on first use.  Vertex
     ids only name vertices and may have gaps: no operation renumbers them,
     sum moves a later summand's ids past those in use, trace gives a new
-    loop vertex an id past the largest, and only the writers number them."""
+    loop vertex an id past the largest, and only the writers number them.
 
-    __slots__ = ("vertices", "_partner", "_ifaces", "_rank", "_edges")
+    A serial is a place: interface ``_ifaces[k]`` has serial ``k + 1``.  Sum,
+    reindex and trace build no :class:`InterfaceLabel`, so the raw map
+    ``_vertices`` may hold stale serials, which :attr:`vertices` rebuilds
+    in a copy on first read.  A value is never written once returned, so
+    maps are shared: reindex shares its operand's, and every fold shares
+    the atoms and the cached identities.  Only a graph the current call has
+    just built is written: ``GraphAlgebra.sum`` extends what
+    :func:`sum_graphs` returned, and :attr:`vertices` fills its copy."""
+
+    __slots__ = ("_vertices", "_stale", "_partner", "_ifaces", "_rank", "_edges")
 
     def __init__(self, vertices: dict[int, Label], edges):
         vertices = dict(vertices)
@@ -111,11 +121,20 @@ class SigmaGraph:
         if len(partner) != sum(len(label_ports(lab)) for lab in vertices.values()):
             ports = {(v, i) for v, lab in vertices.items() for i in range(len(label_ports(lab)))}
             raise ValueError(f"unmatched ports: {sorted(ports - partner.keys())}")
-        self.vertices: dict[int, Label] = vertices
-        self._partner = partner
+        self._vertices, self._stale, self._partner = vertices, False, partner
         self._ifaces = tuple(vid for _, vid in ifaces)
         self._rank = Obj(tuple(vertices[vid].sort for vid in self._ifaces))
         self._edges = None
+
+    @property
+    def vertices(self) -> dict[int, Label]:
+        """Vertex id -> label, each interface's serial its place in order."""
+        if self._stale:
+            self._vertices, self._stale = dict(self._vertices), False
+            for k, vid in enumerate(self._ifaces, start=1):
+                if (lab := self._vertices[vid]).serial != k:
+                    self._vertices[vid] = InterfaceLabel(k, lab.sort)
+        return self._vertices
 
     @property
     def edges(self) -> frozenset[frozenset[Port]]:
@@ -127,7 +146,7 @@ class SigmaGraph:
     # -- structure ------------------------------------------------------
 
     def ports_of(self, vid: int) -> tuple[Sort, ...]:
-        return label_ports(self.vertices[vid])
+        return label_ports(self._vertices[vid])
 
     def port_sort(self, port: Port) -> Sort:
         return self.ports_of(port[0])[port[1]]
@@ -141,12 +160,12 @@ class SigmaGraph:
 
     def internal_vertices(self) -> list[int]:
         return sorted(
-            vid for vid, lab in self.vertices.items() if isinstance(lab, SymbolLabel)
+            vid for vid, lab in self._vertices.items() if isinstance(lab, SymbolLabel)
         )
 
     def loop_vertices(self) -> list[int]:
         return sorted(
-            vid for vid, lab in self.vertices.items() if isinstance(lab, LoopLabel)
+            vid for vid, lab in self._vertices.items() if isinstance(lab, LoopLabel)
         )
 
     def rank_word(self) -> Obj:
@@ -163,10 +182,10 @@ class SigmaGraph:
 def _assemble(vertices, partner, ifaces, rank) -> SigmaGraph:
     """A graph from parts that are well-formed by construction, unchecked:
     ``ifaces`` lists the interface vertex ids in serial order and ``rank``
-    their sorts."""
+    their sorts; the serials in ``vertices`` may be stale."""
     g = object.__new__(SigmaGraph)
-    g.vertices, g._partner, g._ifaces, g._rank, g._edges = (
-        vertices, partner, ifaces, rank, None
+    g._vertices, g._stale, g._partner, g._ifaces, g._rank, g._edges = (
+        vertices, True, partner, ifaces, rank, None
     )
     return g
 
@@ -192,8 +211,9 @@ def atom(alphabet: RankedAlphabet, name: str) -> SigmaGraph:
     return _assemble(vertices, partner, tuple(range(1, len(rank) + 1)), rank)
 
 
+@functools.cache
 def identity_graph(w: Obj) -> SigmaGraph:
-    """2|w| interfaces wired straight across; empty when w is the unit."""
+    """2|w| interfaces wired straight across; cached, so one value per word."""
     n = len(w)
     vertices: dict[int, Label] = {}
     partner: dict[Port, Port] = {}
@@ -209,37 +229,34 @@ def identity_graph(w: Obj) -> SigmaGraph:
 
 
 def reindex(g: SigmaGraph, rho: PermSymbol) -> SigmaGraph:
-    """Relabel interface serials by the flattening of ``rho``."""
+    """Move interface ``k`` to place ``rho.flatten()[k]``; shares both maps."""
     if rho.dom != g.rank_word():
         raise RankMismatch(f"reindex: graph has rank {g.rank_word()}, symbol domain {rho.dom}")
-    vertices = dict(g.vertices)
     ifaces = list(g._ifaces)
     for vid, to in zip(g._ifaces, rho.flatten()):
-        vertices[vid] = InterfaceLabel(to + 1, vertices[vid].sort)
         ifaces[to] = vid
-    return _assemble(vertices, g._partner, tuple(ifaces), rho.cod)
+    return _assemble(g._vertices, g._partner, tuple(ifaces), rho.cod)
 
 
-def _append(vertices, partner, ifaces: list, top: int, g: SigmaGraph) -> int:
-    """Add ``g`` in place to the parts of a graph being built, whose vertex
-    ids are all below ``top``: ``g``'s vertex ids move up by ``top`` and
-    its serials past ``len(ifaces)``.  Returns the new bound on the ids."""
-    shift = len(ifaces)
-    for vid, lab in g.vertices.items():
-        if isinstance(lab, InterfaceLabel):
-            lab = InterfaceLabel(lab.serial + shift, lab.sort)
-        vertices[top + vid] = lab
-    partner.update(((top + a, i), (top + b, j)) for (a, i), (b, j) in g._partner.items())
-    ifaces += [top + vid for vid in g._ifaces]
-    return top + max(g.vertices) + 1 if g.vertices else top
+def _extend(vertices, partner, ifaces: tuple, gs) -> tuple:
+    """Add the graphs ``gs`` in place to the parts of a graph being built,
+    as ``functools.reduce(sum_graphs)`` would: each moves its ids past the
+    largest id in use before it.  Returns ``ifaces`` extended."""
+    top, shifted = max(vertices, default=-1) + 1, []
+    for h in gs:
+        shifted.append((top, h))
+        top += max(h._vertices) + 1 if h._vertices else 0
+    vertices.update({t + v: lab for t, h in shifted for v, lab in h._vertices.items()})
+    partner.update({(t + a, i): (t + b, j) for t, h in shifted for (a, i), (b, j) in h._partner.items()})
+    return ifaces + tuple(t + v for t, h in shifted for v in h._ifaces)
 
 
 def sum_graphs(g1: SigmaGraph, g2: SigmaGraph) -> SigmaGraph:
-    """Disjoint union; the second graph's vertex ids and serials are
-    shifted past the first's.  The result shares no map with an operand."""
-    vertices, partner, ifaces = dict(g1.vertices), dict(g1._partner), list(g1._ifaces)
-    _append(vertices, partner, ifaces, max(g1.vertices, default=-1) + 1, g2)
-    return _assemble(vertices, partner, tuple(ifaces), g1.rank_word() + g2.rank_word())
+    """Disjoint union; the second graph's vertex ids move past the first's and
+    its interfaces follow.  The result shares no map with an operand."""
+    vertices, partner = dict(g1._vertices), dict(g1._partner)
+    ifaces = _extend(vertices, partner, g1._ifaces, (g2,))
+    return _assemble(vertices, partner, ifaces, g1.rank_word() + g2.rank_word())
 
 
 def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
@@ -260,34 +277,29 @@ def trace(g: SigmaGraph, w: Obj) -> SigmaGraph:
     splice: dict[Port, Port] = {}
     for a, b in zip(ifaces[:n], ifaces[n : 2 * n]):
         splice[(a, 0)], splice[(b, 0)] = (b, 0), (a, 0)
-    vertices, partner = dict(g.vertices), dict(g._partner)
+    vertices, partner = dict(g._vertices), dict(g._partner)
     for vid in ifaces[: 2 * n]:
         del vertices[vid], partner[(vid, 0)]
-    for serial, vid in enumerate(ifaces[2 * n :], start=1):
-        vertices[vid] = InterfaceLabel(serial, vertices[vid].sort)
-    # The two kept ends of a chain of glued edges become partners; the
-    # ports the chain passes through are used.
-    used = set()
-    for a in splice:
-        p = g._partner[a]
-        if a in used or p in splice:
-            continue
-        q = a
+
+    def walk(q: Port) -> Port:
         while q in splice:
-            used.update((q, splice[q]))
-            q = g._partner[splice[q]]
-        partner[p], partner[q] = q, p
+            b = splice.pop(q)
+            del splice[b]
+            q = g._partner[b]
+        return q
+    # Each chain of glued edges leaves ``splice``; its two kept ends pair up.
+    for a in list(splice):
+        if a in splice and (p := g._partner[a]) not in splice:
+            q = walk(a)
+            partner[p], partner[q] = q, p
     # A chain no kept port reaches closes on itself into a loop.
-    top = max(g.vertices, default=-1) + 1
-    for a in sorted(splice):
-        if a in used:
-            continue
-        vertices[top] = LoopLabel(g.port_sort(a))
-        top += 1
-        q = a
-        while q not in used:
-            used.update((q, splice[q]))
-            q = g._partner[splice[q]]
+    if splice:
+        top = max(g._vertices) + 1
+        for a in sorted(splice):
+            if a in splice:
+                vertices[top] = LoopLabel(g._vertices[a[0]].sort)
+                top += 1
+                walk(a)
     return _assemble(vertices, partner, ifaces[2 * n :], rank[2 * n :])
 
 
@@ -634,16 +646,12 @@ class GraphAlgebra:
     def sum(self, xs):
         """``functools.reduce(sum_graphs, xs)`` of the two or more summands
         of a ``Sum`` spine, exactly (vertex ids, map orders, interfaces and
-        rank), in one pass: :func:`sum_graphs` of the first two, then each
-        later summand appended to that new graph in place, so no
-        intermediate graph is built."""
+        rank), in one pass: :func:`sum_graphs` of the first two, then the
+        later summands added to that new graph in place by one
+        :func:`_extend`, so no intermediate graph is built."""
         g = sum_graphs(xs[0], xs[1])
         if len(xs) > 2:
-            ifaces = list(g._ifaces)
-            top = max(g.vertices, default=-1) + 1
-            for h in xs[2:]:
-                top = _append(g.vertices, g._partner, ifaces, top, h)
-            g._ifaces = tuple(ifaces)
+            g._ifaces = _extend(g._vertices, g._partner, g._ifaces, xs[2:])
             g._rank = perm.concat([h.rank_word() for h in xs])
         return g
 

@@ -1,19 +1,22 @@
 import functools
+import gc
 import os
 import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ima
-from ima import term as tm
+from ima import laws, term as tm
 from ima.errors import ImaError, RankMismatch, UnknownSymbol
 from ima.graph import (
     GRAPH_ALGEBRA,
+    GraphAlgebra,
     InterfaceLabel,
     LoopLabel,
     RankedAlphabet,
@@ -33,7 +36,7 @@ from ima.graph import (
 from ima.dflow import DFlowAlgebra, alternating_switch, tm_encode, unary_increment_tm
 from ima.laws import SORTS, random_graph, random_obj, random_symbol_on
 from ima.perm import Obj, Sort, block_transposition, identity
-from sweeps import random_port_graph
+from sweeps import random_port_graph, shuffled, tape_graph
 
 A = Obj.parse("A")
 B = Obj.parse("B")
@@ -479,6 +482,121 @@ def test_trace_keeps_vertex_ids():
     assert loops > 50
 
 
+# -- sharing and serials -------------------------------------------------------------
+
+class Recording(GraphAlgebra):
+    """The graph algebra, keeping every value it returns."""
+
+    def __init__(self):
+        self.values = []
+
+    def kept(self, g):
+        self.values.append(g)
+        return g
+
+    def identity(self, w):
+        return self.kept(super().identity(w))
+
+    def sum(self, xs):
+        return self.kept(super().sum(xs))
+
+    def trace(self, w, x):
+        return self.kept(super().trace(w, x))
+
+    def reindex(self, x, rho):
+        return self.kept(super().reindex(x, rho))
+
+
+def law_folds(seeds):
+    """Every law instance of every family for ``seeds``, with its two
+    sides folded through a :class:`Recording` algebra."""
+    aut = laws.graphs_under_test()
+    for seed in seeds:
+        for family, generate in laws.ALL_FAMILIES.items():
+            for check in generate(random.Random(seed), aut):
+                alg = Recording()
+                interp = tm.Interpretation(alg, check.symbols)
+                yield check, alg, [tm.evaluate(t, interp) for t in (check.lhs, check.rhs)]
+
+
+def raw_parts(g):
+    return list(g._vertices.items()), list(g._partner.items()), g._ifaces
+
+
+def snapshot(g):
+    return list(g.vertices.items()), list(g._partner.items()), g._ifaces
+
+
+def assert_operands_unwritten(op, *operands):
+    """``op(*operands)``, and the first read of its result's ``vertices``,
+    leave every operand as it was: once with the operands' serials as
+    stale as they came, once after reading them."""
+    for parts_of in (raw_parts, snapshot):
+        before = [parts_of(g) for g in operands]
+        result = op(*operands)
+        assert [parts_of(g) for g in operands] == before
+        result.vertices
+        assert [parts_of(g) for g in operands] == before
+
+
+def assert_operations_share_safely(gs, rng):
+    for _ in range(2 * len(gs)):
+        g, h = rng.choice(gs), rng.choice(gs)
+        assert_operands_unwritten(sum_graphs, g, h)
+        spine = [rng.choice(gs) for _ in range(rng.randint(2, 5))]
+        assert_operands_unwritten(lambda *xs: GRAPH_ALGEBRA.sum(xs), *spine)
+        rho = random_symbol_on(rng, g.rank_word())
+        assert_operands_unwritten(lambda x: reindex(x, rho), g)
+        r = g.rank_word()
+        k = rng.choice([k for k in range(len(r) // 2 + 1) if r[:k] == r[k : 2 * k]])
+        assert_operands_unwritten(lambda x: trace(x, r[:k]), g)
+
+
+def test_identity_graphs_are_shared():
+    for w in ("()", "A", "AB", "BAA"):
+        assert identity_graph(Obj.parse(w)) is identity_graph(Obj.parse(w))
+
+
+def test_operations_never_write_an_operand():
+    # results share maps with their operands, so a write to a result
+    # would show in an operand
+    rng = random.Random(5)
+    atoms = list(tm.graph_interpretation(ALPHABET).symbols.values())
+    atoms += [atom(RankedAlphabet({"h": Obj.parse(w)}), "h") for w in ("AA", "ABAB", "BBA")]
+    identities = [identity_graph(Obj.parse(w)) for w in ("()", "A", "AB", "BAA")]
+    checked = [random_graph(rng, random_obj(rng, 4)) for _ in range(20)]
+    for gs in (atoms, identities, checked, atoms + identities + checked):
+        assert_operations_share_safely(gs, rng)
+    folded = []
+    for check, alg, sides in law_folds(range(8)):
+        leaves = list(check.symbols.values()) + identities
+        before = [snapshot(g) for g in leaves]
+        for t in (check.lhs, check.rhs):
+            tm.evaluate(t, tm.Interpretation(GRAPH_ALGEBRA, check.symbols))
+        for g in alg.values:
+            g.vertices
+        assert [snapshot(g) for g in leaves] == before
+        folded += sides
+    assert len(folded) > 250
+    assert_operations_share_safely(folded, rng)
+
+
+def test_every_folded_value_numbers_serials_by_place():
+    # a serial is a place in the interface order, whatever the raw labels hold
+    values = 0
+    for _, alg, _ in law_folds(range(20)):
+        for g in alg.values:
+            n = len(g._ifaces)
+            assert [g.vertices[v].serial for v in g._ifaces] == list(range(1, n + 1))
+            back = SigmaGraph(g.vertices, g.edges)
+            assert back.vertices == g.vertices
+            assert back._partner == g._partner
+            assert back.interface_vertices() == g.interface_vertices()
+            assert back.rank_word() == g.rank_word()
+            values += 1
+    assert values > 1000
+
+
 def test_writers_number_vertices_in_id_order():
     text = ("graph AB\nvertex {} sym:f:BA\nvertex {} in:1:A\nvertex {} loop:B\n"
             "vertex {} in:2:B\nvertex {} sym:k:()\nedge {}.2 {}.1\nedge {}.1 {}.1\n")
@@ -685,6 +803,26 @@ def test_decompose_figure_like_graph():
     assert counts == {"g": 2, "f": 2}
     interp = tm.graph_interpretation(ALPHABET)
     assert isomorphic(tm.evaluate(t, interp), g)
+
+
+def test_normalized_tape_scales_near_linearly():
+    # the fold of a tape's decomposition is one spine of n atoms, one
+    # reindex and one trace of width n - 1; timed as the isomorphism test
+    # of tapes is, best of seven with the garbage collector off
+    alphabet = RankedAlphabet({"cell": Obj.parse("AA")})
+    terms = {n: decompose(shuffled(tape_graph(n), random.Random(n))) for n in (1000, 4000)}
+    best = dict.fromkeys(terms, float("inf"))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(7):
+            for n, t in terms.items():
+                start = time.perf_counter()
+                tm.normalize(t, alphabet)
+                best[n] = min(best[n], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert best[4000] < 8 * best[1000]
 
 
 def random_multigraph(rng):

@@ -523,15 +523,11 @@ def raw_parts(g):
     return list(g._vertices.items()), list(g._partner.items()), g._ifaces
 
 
-def snapshot(g):
-    return list(g.vertices.items()), list(g._partner.items()), g._ifaces
-
-
 def assert_operands_unwritten(op, *operands):
     """``op(*operands)``, and the first read of its result's ``vertices``,
     leave every operand as it was: once with the operands' serials as
     stale as they came, once after reading them."""
-    for parts_of in (raw_parts, snapshot):
+    for parts_of in (raw_parts, parts):
         before = [parts_of(g) for g in operands]
         result = op(*operands)
         assert [parts_of(g) for g in operands] == before
@@ -570,12 +566,12 @@ def test_operations_never_write_an_operand():
     folded = []
     for check, alg, sides in law_folds(range(8)):
         leaves = list(check.symbols.values()) + identities
-        before = [snapshot(g) for g in leaves]
+        before = [parts(g) for g in leaves]
         for t in (check.lhs, check.rhs):
             tm.evaluate(t, tm.Interpretation(GRAPH_ALGEBRA, check.symbols))
         for g in alg.values:
             g.vertices
-        assert [snapshot(g) for g in leaves] == before
+        assert [parts(g) for g in leaves] == before
         folded += sides
     assert len(folded) > 250
     assert_operations_share_safely(folded, rng)

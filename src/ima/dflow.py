@@ -253,7 +253,9 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
     :func:`load_json`: a data-flow automaton when it has ``data``, a plain
     one otherwise.  A document :func:`load_json` refuses, of the wrong
     shape (an interface not a string, a transition not an array of four,
-    ``states``, ``transitions`` or ``data`` not an array), with a key
+    ``states``, ``transitions`` or ``data`` not an array, a position not
+    ``"*"``, a JSON integer or a ``[datum, port]`` pair whose port is one,
+    as the file's kind asks), with a key
     missing, or with a datum or port outside its ``data`` or port word
     raises ``ValueError``; an interface character that is no sort ``ImaError``."""
     doc = load_json(text, "malformed automaton file")
@@ -276,17 +278,12 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
         data = array("data") if flow else ()
 
         def pos(x):
-            if x == ANCHOR:
+            if x == ANCHOR or (not flow and type(x) is int):
                 return x
-            try:
-                if not flow:
-                    return int(x)
-                if not (isinstance(x, tuple) and len(x) == 2):
-                    raise ValueError
-                d, port = x[0], int(x[1])
-            except (TypeError, ValueError):
+            if not (flow and isinstance(x, tuple) and len(x) == 2 and type(x[1]) is int):
                 wanted = "a [datum, port] pair" if flow else "a position number"
-                raise refuse("position", x, f'"*" or {wanted}') from None
+                raise refuse("position", x, f'"*" or {wanted}')
+            d, port = x
             if d not in data:
                 raise ValueError(f"malformed automaton file: datum {d!r} not in data {data!r}")
             if not 1 <= port <= len(word):

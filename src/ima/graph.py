@@ -526,7 +526,8 @@ def parse_graph(text: str) -> SigmaGraph:
     ``sym:<name>`` has as many ports as the highest port its edges name,
     all of the one sort of the file's ``graph`` line, interfaces and
     ranked symbols (``DEFAULT_SORT`` when there is none); in a file of two
-    or more sorts it raises ``ImaError`` naming the vertex.  A second
+    or more sorts, or when the highest port is more than its number of
+    edge ends, it raises ``ImaError`` naming the vertex.  A second
     ``graph`` line, or a vertex id or an edge (in either direction) given
     twice, raises ``ImaError`` naming the line.
     """
@@ -564,10 +565,12 @@ def parse_graph(text: str) -> SigmaGraph:
             raise ValueError(f"line {lineno}: cannot parse {line!r}")
 
     degree: dict[int, int] = {v: 0 for v in raw_vertices}
+    ends = dict(degree)
     for (a, i), (b, j) in raw_edges.values():
         for v in (a, b):
             if v not in degree:
                 raise ValueError(f"edge {a}.{i + 1} {b}.{j + 1}: no vertex {v}")
+            ends[v] += 1
         degree[a] = max(degree[a], i + 1)
         degree[b] = max(degree[b], j + 1)
 
@@ -608,6 +611,11 @@ def parse_graph(text: str) -> SigmaGraph:
             )
         sort = next(iter(sorts), DEFAULT_SORT)
         for vid, name in rankless.items():
+            # a port past the vertex's edge ends leaves some port unmatched;
+            # refused here, before a rank that long is built
+            if degree[vid] > ends[vid]:
+                raise ImaError(f"vertex {vid}: 'sym:{name}' names port {degree[vid]}, more "
+                               f"than its number of edge ends ({ends[vid]})")
             vertices[vid] = SymbolLabel(name, Obj((sort,) * degree[vid]))
 
     g = SigmaGraph(vertices, list(raw_edges))

@@ -410,6 +410,22 @@ def test_eval_plain_automaton_file_names_a_bad_position(tmp_path, capsys):
     assert err == 'error: malformed automaton file: position "x" is not "*" or a position number\n'
 
 
+@pytest.mark.parametrize("value", ["1.5", "true", '"1"', "Infinity"])
+def test_eval_automaton_file_reads_only_integer_positions(tmp_path, capsys, value):
+    # int() read 1.5, true and "1" as position or port 1, and ended on
+    # Infinity in an OverflowError traceback
+    plain = f'{{"interface": "AA", "states": [0], "transitions": [[0, {value}, 0, 2]]}}'
+    flow = ('{"interface": "A", "data": [0], "states": [0], '
+            f'"transitions": [[0, [0, {value}], 0, "*"]]}}')
+    for text, message in ((plain, f'position {value} is not "*" or a position number'),
+                          (flow, f'position [0, {value}] is not "*" or a [datum, port] pair')):
+        f = tmp_path / "bad.auto.json"
+        f.write_text(text)
+        code, out, err = run(capsys, "eval", "--automaton", str(f))
+        assert code == 2 and not out
+        assert err == f"error: malformed automaton file: {message}\n"
+
+
 def test_eval_automaton_file_names_an_interface_that_is_no_sort_word(tmp_path, capsys):
     doc = {"interface": "a-b", "states": [0], "transitions": []}
     f = tmp_path / "bad.auto.json"
@@ -706,6 +722,20 @@ def test_export_dot_names_a_repeated_line(tmp_path, capsys, text, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("port", ["3000000", "100000000000000000000"])
+def test_export_dot_refuses_a_rankless_port_past_its_edge_ends(tmp_path, capsys, port):
+    # the rank was built as long as the port: 8.4 s and 606 MB for the
+    # first, an OverflowError traceback for the second
+    f = tmp_path / "far.graph"
+    f.write_text(f"graph ()\nvertex 0 sym:h\nvertex 1 sym:h\nedge 0.{port} 1.1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "export-dot", str(f))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and not out
+    assert err == (f"error: vertex 0: 'sym:h' names port {port}, more than its number of "
+                   "edge ends (1)\n")
+
+
 def test_axioms_pass(capsys):
     code, out, _ = run(capsys, "--cases", "3", "--seed", "5", "axioms", "graphs")
     assert code == 0
@@ -849,8 +879,8 @@ FUZZ_COMMANDS = {
 }
 
 SMALL_VALUES_BY_TYPE = {
-    type(None): [None], bool: [False, True], int: [-1, 0, 1, 2, 3], float: [0.5, -2.0],
-    str: ["", "x", "*", "1", "A", "c2", "path.graph"], list: [[]], dict: [{}],
+    type(None): [None], bool: [False, True], int: [-1, 0, 1, 2, 3],
+    float: [0.5, -2.0, float("inf")], str: ["", "x", "*", "1", "A", "c2", "path.graph"], list: [[]], dict: [{}],
 }
 SMALL_VALUES = [value for values in SMALL_VALUES_BY_TYPE.values() for value in values]
 TOKENS = ["0", "1", "2", "7", "-1", "x", "A", "*", "->", ":", "()", "1.1", "in:1:1", "sym:c2",

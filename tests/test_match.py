@@ -401,6 +401,27 @@ def test_seed_21_pair_is_fast_under_every_hash_seed():
         assert states == "27" and float(seconds) < 0.5, (hash_seed, seconds)
 
 
+def cycles_automaton(lengths: list[int]) -> TuringAutomaton:
+    """An automaton whose states form disjoint cycles of the given
+    lengths, each transition entering and leaving at the anchor."""
+    cycles = [[f"c{k}.{i}" for i in range(n)] for k, n in enumerate(lengths)]
+    return TuringAutomaton(UNIT, [q for c in cycles for q in c],
+                           [((c[i], ANCHOR), (c[i - 1], ANCHOR)) for c in cycles for i in range(len(c))])
+
+
+def test_cycles_of_other_lengths_are_rejected_fast():
+    # refinement leaves all 32 states in one cell, so only the component
+    # census of match.same_components tells eight 2-cycles from six and a
+    # 4-cycle; without it the search tries every branch, for seconds
+    t, u = cycles_automaton([2] * 8), cycles_automaton([2] * 6 + [4])
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert not equivalent_automata(t, u)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1, best
+
+
 def stable_colouring(color: list[int], out: list[list], inc: list[list]) -> list[int]:
     """Colour refinement by rounds: each round recolours every node by its
     colour and the (label, colour) multisets of its edges out and in,
@@ -455,7 +476,7 @@ def test_refine_gives_the_coarsest_equitable_partition():
             inc[v].append((lab, u))
         want = stable_colouring(color, out, inc)
         balanced = all(2 * sum(v >= n for v in cell) == len(cell) for cell in cells_of(want))
-        got = match.refine(n, color, out, inc, set(color))
+        got = match.refine(n, color, out, inc)
         if balanced:
             assert got is not None and cells_of(got) == cells_of(want), seed
         else:

@@ -127,13 +127,17 @@ def load_machine(path: str) -> GraphMachine:
 
 def _load_state(path: str) -> dict[int, object]:
     """The local states a state file gives, by vertex id; a key that is
-    not a vertex id raises ``ImaError`` naming it."""
-    state = {}
+    not a vertex id, or that names the vertex of an earlier key, raises
+    ``ImaError`` naming it."""
+    state, keys = {}, {}
     for key, value in dflow.load_json(Path(path).read_text(), "state file").items():
         try:
-            state[int(key)] = value
+            v = int(key)
         except ValueError:
             raise ImaError(f"state file: key {key!r} is not a vertex id") from None
+        if v in keys:
+            raise ImaError(f"state file: keys {keys[v]!r} and {key!r} both name vertex {v}")
+        state[v], keys[v] = value, key
     return state
 
 

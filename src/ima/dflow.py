@@ -253,7 +253,8 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
     :func:`load_json`: a data-flow automaton when it has ``data``, a plain
     one otherwise.  A document :func:`load_json` refuses, of the wrong
     shape (an interface not a string, a transition not an array of four,
-    ``states``, ``transitions`` or ``data`` not an array, a position not
+    ``states``, ``transitions`` or ``data`` not an array, ``states`` that
+    repeat a value as Python compares them, a position not
     ``"*"``, a JSON integer or a ``[datum, port]`` pair whose port is one,
     as the file's kind asks), with a key
     missing, or with a datum or port outside its ``data`` or port word
@@ -273,7 +274,10 @@ def parse_automaton(text: str) -> TuringAutomaton | DFlowAutomaton:
         if not isinstance(iface, str):
             raise refuse("interface", iface, "a string")
         word = Obj.read(iface, f"malformed automaton file: interface {iface!r}")
-        states = frozenset(array("states"))
+        listed = array("states")
+        states = frozenset(listed)
+        if len(states) != len(listed):
+            raise ValueError(f"malformed automaton file: states {json.dumps(listed)} repeat a value")
         flow = "data" in doc
         data = array("data") if flow else ()
 

@@ -433,7 +433,6 @@ def decomposition_plan(g: SigmaGraph) -> DecompositionPlan:
 
     s = len(internal_edges)
     trace_word = Obj(tuple(g.port_sort(p) for p, _ in internal_edges))
-    n_ext = len(g.rank_word())
 
     sends = [0] * (base_positions + 2 * len(wire_edges))
     for t, (p, q) in enumerate(internal_edges):

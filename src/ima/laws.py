@@ -147,14 +147,9 @@ class AlternationMutant(AutomataAlgebra):
 
     def trace(self, w, x):
         n = len(w)
-
-        def partner(p):
-            if p == ANCHOR or p > 2 * n:
-                return p
-            return p + n if p <= n else p - n
-
-        delta = frozenset(((q, partner(p)), out) for (q, p), out in x.delta)
-        return trace_automaton(TuringAutomaton(x.iface, x.states, delta), w)
+        partner = {p: p + n if p <= n else p - n for p in range(1, 2 * n + 1)}
+        table = {(partner.get(p, p), y): rel for (p, y), rel in x.table.items()}
+        return trace_automaton(TuringAutomaton._assemble(x.iface, x.names, table), w)
 
 
 def automata_under_test(broken_alternation: bool = False) -> AlgebraUnderTest:

@@ -13,7 +13,7 @@ checks and for building the two readings of a grouped symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 from .errors import ImaError, NotComposable
@@ -35,6 +35,8 @@ class Sort:
         return f"Sort({self.name!r})"
 
 
+_sort = cache(Sort)  # one ``Sort`` per name, shared by the words ``Obj.parse`` reads
+
 # the canonical sort of single-sorted graphs (machines, solitons)
 DEFAULT_SORT = Sort("1")
 
@@ -51,10 +53,11 @@ class Obj:
 
     @staticmethod
     def parse(text: str) -> "Obj":
-        """One sort per character; ``()`` or the empty string is the unit."""
+        """One interned sort per character; ``()`` or the empty string is
+        the shared ``UNIT``."""
         if text in ("()", ""):
-            return Obj()
-        return Obj(tuple(Sort(c) for c in text))
+            return UNIT
+        return Obj(tuple(map(_sort, text)))
 
     @staticmethod
     def read(text: str, what: str) -> "Obj":

@@ -31,7 +31,7 @@ from typing import Mapping
 
 from . import perm as pm
 from .errors import MissingSymbol, ParseError, RankError
-from .perm import Obj, PermSymbol, Sort
+from .perm import Obj, PermSymbol
 
 
 # -- syntax trees ------------------------------------------------------------
@@ -441,13 +441,9 @@ def parse(text: str) -> Term:
     docstring.
 
     One pass over the token list with explicit stacks of the open
-    contexts, so any nesting depth parses.  Sort words and ``c(v,w)`` and
-    ``id(w)`` symbols are built once per parse and shared: the blocks of
-    the symbols a permutation chain composes are then the same objects,
-    which ``perm.compose`` compares by identity first."""
+    contexts, so any nesting depth parses.  Every sort word is read by
+    ``Obj.parse``, and each symbol is built where it is read."""
     tokens = _tokenise(text)
-    words: dict[str, Obj] = {"": pm.UNIT}
-    symbols: dict[tuple[str, str, str], PermSymbol] = {}
 
     def fail(message, k):
         raise ParseError(message, *_locate(text, k))
@@ -458,25 +454,17 @@ def parse(text: str) -> Term:
             fail(f"expected {value!r}, found {tokens[k] or 'end of input'!r}", k)
         return k + 1
 
-    def obj(key):
-        """The word ``key`` of this parse, made of its one-letter words."""
-        w = words.get(key)
-        if w is None:
-            w = Obj((Sort(key),)) if len(key) == 1 else Obj(tuple([obj(c).word[0] for c in key]))
-            words[key] = w
-        return w
-
     def word(k):
-        """The text of the sort word at ``k`` (``""`` for the unit, written
-        ``()`` or left empty before a ``)``), and the index after it."""
+        """The sort word at ``k`` (the unit when written ``()`` or left
+        empty before a ``)``), and the index after it."""
         value = tokens[k]
         if value == "(":
-            return "", expect(")", k + 1)
+            return pm.UNIT, expect(")", k + 1)
         if value == ")":
-            return "", k
+            return pm.UNIT, k
         if not value or value in _PUNCT:
             fail(f"expected a sort word, found {value!r}", k)
-        return value, k + 1
+        return Obj.parse(value), k + 1
 
     def symbol(k):
         """The ``id(w)``, ``c(v,w)`` or ``p(w; ...)`` at ``k``, and the
@@ -493,23 +481,13 @@ def parse(text: str) -> Term:
                     fail(f"expected an unused target in 1..{len(w)}, found {found!r}", k)
                 sends.append(j)
                 k += 1
-            return pm.from_positions(obj(w), sends), expect(")", k)
+            return pm.from_positions(w, sends), expect(")", k)
         if tokens[k] == "id":
             w, k = word(expect("(", k + 1))
-            key = ("id", w, "")
-        else:
-            v, k = word(expect("(", k + 1))
-            w, k = word(expect(",", k))
-            key = ("c", v, w)
-        k = expect(")", k)
-        rho = symbols.get(key)
-        if rho is None:
-            if key[0] == "id":
-                rho = PermSymbol(tuple(map(obj, w)), tuple(range(len(w))))
-            else:
-                rho = pm.block_transposition(obj(v), obj(w))
-            symbols[key] = rho
-        return rho, k
+            return pm.identity(w), expect(")", k)
+        v, k = word(expect("(", k + 1))
+        w, k = word(expect(",", k))
+        return pm.block_transposition(v, w), expect(")", k)
 
     def perm(k):
         """The permutation expression at ``k``: the longest one, as after
@@ -562,15 +540,15 @@ def parse(text: str) -> Term:
             w, k = word(expect("(", k + 1))
             k = expect(",", k)
             outer.append((context, acc, data))
-            context, acc, data = TRACE, None, obj(w)
+            context, acc, data = TRACE, None, w
             continue
         if value == "comp" or value == "ten":
             at = k
             w, k = word(expect("[", k + 1))
-            split = [obj(w)]
+            split = [w]
             while tokens[k] == ";":
                 w, k = word(k + 1)
-                split.append(obj(w))
+                split.append(w)
             k = expect("]", k)
             wanted = 3 if value == "comp" else 4
             if len(split) != wanted:
@@ -588,7 +566,7 @@ def parse(text: str) -> Term:
         elif value == "id":
             w, k = word(expect("(", k + 1))
             k = expect(")", k)
-            t = Id(obj(w))
+            t = Id(w)
         else:
             fail(f"expected a term, found {value or 'end of input'!r}", k)
         while True:  # ``t`` is a whole primary of the open context

@@ -474,6 +474,18 @@ def test_eval_automaton_file_with_repeated_data(tmp_path, capsys):
     assert err.startswith("error: ") and "repeat" in err
 
 
+@pytest.mark.parametrize("states", [[1, True], [0, False, 0.0], [1, 1]])
+def test_eval_automaton_file_whose_states_repeat_a_value(tmp_path, capsys, states):
+    # Python finds 1 == True and 0 == False == 0.0, so a set of them would
+    # hold one state while the transition still names the other
+    doc = {"interface": "1", "states": states, "transitions": [[states[0], 1, states[1], "*"]]}
+    f = tmp_path / "repeated.auto.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--automaton", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed automaton file: states {json.dumps(states)} repeat a value\n"
+
+
 def test_simulate_transcript(machine_files, capsys):
     code, out, _ = run(
         capsys,
@@ -560,6 +572,13 @@ def test_simulate_rejects_a_state_key_that_is_not_a_vertex_id(machine_files, cap
     code, out, err = simulate(capsys, machine_files, "m.json", {"x": 1}, "1", "2")
     assert (code, out) == (2, "")
     assert err == "error: state file: key 'x' is not a vertex id\n"
+
+
+def test_simulate_rejects_two_keys_that_name_one_vertex(machine_files, capsys):
+    # "00" is vertex 0 too; the later key must not overwrite the earlier
+    code, out, err = simulate(capsys, machine_files, "m.json", {"0": 1, "00": 2}, "1", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: state file: keys '0' and '00' both name vertex 0\n"
 
 
 @pytest.mark.parametrize("depth", [600, 100_000])

@@ -1,8 +1,9 @@
 """Differential tests of ``graph.isomorphic`` and of the bijection search
 ``match.find_bijection`` behind ``automata.equivalent_automata`` against
 independent references: networkx VF2++ on port-labelled graphs, a
-brute-force search over all state permutations, and the round-based
-colour refinement the splitter queue replaced.  The search still runs on
+brute-force search over all state permutations, and a separate
+round-based matcher that refines once and then backtracks without
+refining after each choice.  The search still runs on
 graphs, encoded as coloured, labelled edges, so that tapes and
 edge-swapped graphs exercise its refinement, and its verdict there must
 be ``isomorphic``'s."""
